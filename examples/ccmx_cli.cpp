@@ -13,12 +13,19 @@
 //
 // Build & run:  ./build/examples/ccmx_cli singularity 8 8
 //
+// Numeric arguments must be plain non-negative decimal integers; anything
+// else prints an "error:" line and exits 2, like a usage error.
+//
 // Observability: CCMX_TRACE=1 turns the obs counters on;
 // CCMX_REPORT=<path> writes a ccmx.run_report/1 JSON summary at exit
 // (see docs/OBSERVABILITY.md).
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "comm/channel.hpp"
 #include "core/construction.hpp"
@@ -174,6 +181,21 @@ void usage() {
                "  mesh        n k\n";
 }
 
+/// Parses one numeric argument as plain decimal digits.  A sign, a
+/// non-number, trailing text or overflow is reported as an error line
+/// (strtoul would wrap "-1" to 2^64-1) and yields nullopt.
+std::optional<std::uint64_t> parse_count(const char* name, const char* text) {
+  const std::string_view v(text);
+  std::uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(v.data(), v.data() + v.size(), value);
+  if (ec == std::errc{} && end == v.data() + v.size()) return value;
+  std::cerr << "error: " << name
+            << " must be a non-negative decimal integer, got '" << text
+            << "'\n";
+  return std::nullopt;
+}
+
 int run_command(const std::string& cmd, std::size_t n, std::size_t arg3,
                 std::uint64_t seed) {
   // Root of the run's span tree: every protocol execution (comm.execute)
@@ -228,6 +250,15 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
+  const std::string cmd = argv[1];
+  const auto n_arg = parse_count("n", argv[2]);
+  const auto arg3_arg = parse_count(cmd == "rank" ? "r" : "k", argv[3]);
+  const auto seed_arg = argc > 4 ? parse_count("seed", argv[4])
+                                 : std::optional<std::uint64_t>(2024);
+  if (!n_arg || !arg3_arg || !seed_arg) return 2;
+  const std::size_t n = *n_arg;
+  const std::size_t arg3 = *arg3_arg;
+  const std::uint64_t seed = *seed_arg;
   const util::WallTimer timer;
   // Process-wide hardware-counter window plus the background telemetry
   // sampler (CCMX_SAMPLE_FILE / CCMX_SAMPLE_MS); both degrade to no-ops
@@ -238,11 +269,6 @@ int main(int argc, char** argv) {
   // Sampling CPU profiler (CCMX_PROF_HZ / CCMX_PROF_FILE); degrades to
   // a reasoned no-op when unconfigured or unavailable.
   obs::profiler_start_from_env();
-  const std::string cmd = argv[1];
-  const std::size_t n = std::strtoul(argv[2], nullptr, 10);
-  const std::size_t arg3 = std::strtoul(argv[3], nullptr, 10);
-  const std::uint64_t seed =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 2024;
   obs::set_attribute("command", cmd);
   obs::set_attribute("seed", std::to_string(seed));
   obs::set_attribute("n", std::to_string(n));

@@ -736,18 +736,12 @@ TrajectoryAppend append_trajectory(const LoadResult& reports,
   std::vector<std::string> seen;
   {
     std::ifstream in(trajectory_path);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      try {
-        const json::Value doc = json::parse(line);
-        seen.push_back(string_or(doc, "name", "") + '\n' +
-                       string_or(doc, "git_sha", "") + '\n' +
-                       fmt_num(number_or(doc, "unix_time", 0.0)));
-      } catch (const util::contract_error&) {
-        continue;
-      }
-    }
+    (void)json::read_jsonl(in, [&](const json::Value& doc) {
+      seen.push_back(string_or(doc, "name", "") + '\n' +
+                     string_or(doc, "git_sha", "") + '\n' +
+                     fmt_num(number_or(doc, "unix_time", 0.0)));
+      return true;
+    });
   }
 
   const fs::path path(trajectory_path);
@@ -805,22 +799,13 @@ TrajectorySeriesResult load_trajectory_series(
            std::vector<std::pair<double, double>>>
       series;
   std::ifstream in(trajectory_path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    json::Value doc;
-    try {
-      doc = json::parse(line);
-    } catch (const util::contract_error&) {
-      ++result.skipped;
-      continue;
-    }
+  result.skipped += json::read_jsonl(in, [&](const json::Value& doc) {
     const json::Value* benches = doc.find("benchmarks");
     const std::string name = string_or(doc, "name", "");
     if (string_or(doc, "schema", "") != kTrajectorySchema || name.empty() ||
         benches == nullptr || !benches->is_object()) {
       ++result.skipped;
-      continue;
+      return true;
     }
     ++result.rows;
     const double t = number_or(doc, "unix_time", 0.0);
@@ -829,7 +814,8 @@ TrajectorySeriesResult load_trajectory_series(
         series[{name, bench}].emplace_back(t, value.number);
       }
     }
-  }
+    return true;
+  });
 
   for (auto& [key, points] : series) {
     std::sort(points.begin(), points.end());

@@ -191,8 +191,7 @@ TrajectoryAppend append_trajectory(const LoadResult& reports,
                                    const std::string& trajectory_path);
 
 /// One (report, benchmark) cpu_time series extracted from a
-/// ccmx.trajectory/1 JSONL file — the raw points behind both the trend
-/// fits and the dashboard sparklines.
+/// ccmx.trajectory/1 JSONL file — the raw points behind the trend fits.
 struct TrajectorySeries {
   std::string report;     // trajectory row "name" (e.g. "exact_cc")
   std::string benchmark;  // e.g. "BM_ExactCcEquality/3"
@@ -210,8 +209,7 @@ struct TrajectorySeriesResult {
 
 /// Extracts every per-benchmark cpu_time series from a trajectory file.
 /// Malformed or foreign-schema lines are counted, not fatal; a missing
-/// file yields an empty result.  trend_from_trajectory() and the HTML
-/// dashboard both build on this.
+/// file yields an empty result.  trend_from_trajectory() builds on this.
 [[nodiscard]] TrajectorySeriesResult load_trajectory_series(
     const std::string& trajectory_path);
 

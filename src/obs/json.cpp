@@ -145,6 +145,7 @@ namespace {
 struct Parser {
   std::string_view text;
   std::size_t at = 0;
+  std::size_t depth = 0;  // open arrays/objects around the cursor
 
   [[noreturn]] void fail(const std::string& what) const {
     CCMX_REQUIRE(false, "json parse error at offset " + std::to_string(at) +
@@ -276,16 +277,25 @@ struct Parser {
     return value;
   }
 
+  /// Enters one array/object level; fails past kMaxDepth.
+  void descend() {
+    if (++depth > kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth));
+    }
+  }
+
   Value parse_value() {
     skip_ws();
     Value v;
     const char c = peek();
     if (c == '{') {
       ++at;
+      descend();
       v.kind = Value::Kind::kObject;
       skip_ws();
       if (peek() == '}') {
         ++at;
+        --depth;
         return v;
       }
       for (;;) {
@@ -300,15 +310,18 @@ struct Parser {
           continue;
         }
         expect('}');
+        --depth;
         return v;
       }
     }
     if (c == '[') {
       ++at;
+      descend();
       v.kind = Value::Kind::kArray;
       skip_ws();
       if (peek() == ']') {
         ++at;
+        --depth;
         return v;
       }
       for (;;) {
@@ -319,6 +332,7 @@ struct Parser {
           continue;
         }
         expect(']');
+        --depth;
         return v;
       }
     }
@@ -354,72 +368,22 @@ Value parse(std::string_view text) {
   return v;
 }
 
-namespace {
-
-void render_to(const Value& value, std::string& out) {
-  switch (value.kind) {
-    case Value::Kind::kNull:
-      out += "null";
-      return;
-    case Value::Kind::kBool:
-      out += value.boolean ? "true" : "false";
-      return;
-    case Value::Kind::kNumber: {
-      if (!std::isfinite(value.number)) {
-        out += "null";  // JSON has no inf/nan (same policy as the Writer)
-        return;
-      }
-      // Integral values render without an exponent or trailing ".0" so a
-      // re-embedded counter still looks like the counter the Writer wrote.
-      if (value.number == std::floor(value.number) &&
-          std::abs(value.number) < 9.0e15) {
-        out += std::to_string(static_cast<std::int64_t>(value.number));
-        return;
-      }
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", value.number);
-      out += buf;
-      return;
+std::size_t read_jsonl(std::istream& in,
+                       const std::function<bool(const Value&)>& on_document) {
+  std::size_t skipped = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    Value doc;
+    try {
+      doc = parse(line);
+    } catch (const util::contract_error&) {
+      ++skipped;
+      continue;
     }
-    case Value::Kind::kString:
-      out += '"';
-      out += escape(value.string);
-      out += '"';
-      return;
-    case Value::Kind::kArray: {
-      out += '[';
-      bool first = true;
-      for (const Value& item : value.array) {
-        if (!first) out += ',';
-        first = false;
-        render_to(item, out);
-      }
-      out += ']';
-      return;
-    }
-    case Value::Kind::kObject: {
-      out += '{';
-      bool first = true;
-      for (const auto& [key, member] : value.object) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        out += escape(key);
-        out += "\":";
-        render_to(member, out);
-      }
-      out += '}';
-      return;
-    }
+    if (!on_document(doc)) break;
   }
-}
-
-}  // namespace
-
-std::string render(const Value& value) {
-  std::string out;
-  render_to(value, out);
-  return out;
+  return skipped;
 }
 
 }  // namespace ccmx::obs::json

@@ -2,12 +2,16 @@
 //
 // Two halves: a streaming Writer used to render RunReports and JSONL trace
 // events (no intermediate DOM, deterministic field order), and a small
-// recursive-descent parser used by tests and tools to schema-check what
-// the writer produced.  Deliberately tiny: UTF-8 pass-through, doubles for
-// all numbers, ordered object members.
+// recursive-descent parser (plus its tolerant JSONL line reader) used by
+// tests and tools to schema-check what the writer produced.  Deliberately
+// tiny: UTF-8 pass-through, doubles for all numbers, ordered object
+// members.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -91,15 +95,21 @@ struct Value {
   [[nodiscard]] const Value* find(std::string_view key) const noexcept;
 };
 
+/// Deepest array/object nesting parse() accepts.  Every document this
+/// repo writes nests a handful of levels; the bound keeps a hostile
+/// `[[[...]]]` from overflowing the recursive parser's stack.
+inline constexpr std::size_t kMaxDepth = 256;
+
 /// Parses a complete JSON document; throws util::contract_error on
-/// malformed input or trailing garbage.
+/// malformed input, trailing garbage, or nesting deeper than kMaxDepth.
 [[nodiscard]] Value parse(std::string_view text);
 
-/// Serializes a parsed Value back to compact JSON (member order
-/// preserved, numbers in %.17g so parse(render(parse(x))) is stable).
-/// The inverse of parse() up to insignificant whitespace — used to embed
-/// loaded documents into other artifacts (e.g. the HTML dashboard's data
-/// island).
-[[nodiscard]] std::string render(const Value& value);
+/// The tolerant JSONL read every line-oriented loader shares: blank lines
+/// are skipped, a line that does not parse (the torn tail of a killed
+/// writer, or any other damage) is skipped and counted, and every other
+/// line is handed to `on_document`.  Reading stops early when
+/// `on_document` returns false.  Returns the number of unparseable lines.
+std::size_t read_jsonl(std::istream& in,
+                       const std::function<bool(const Value&)>& on_document);
 
 }  // namespace ccmx::obs::json

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -166,12 +167,11 @@ ThreadSink& thread_sink() {
 // is mid-push, preserving per-thread FIFO order in the file.
 
 /// Fast-path gate for emit_event / event_sink_open: one atomic load
-/// instead of a mutex.  Unknown -> {None, Async, Sync} on the lazy env
-/// probe or an explicit open; anything -> None on close.
+/// instead of a mutex.  Unknown -> {None, Async} on the lazy env probe
+/// or an explicit open; anything -> None on close.
 constexpr std::uint8_t kSinkUnknown = 0;
 constexpr std::uint8_t kSinkNone = 1;
 constexpr std::uint8_t kSinkAsync = 2;
-constexpr std::uint8_t kSinkSync = 3;
 std::atomic<std::uint8_t> g_sink_mode{kSinkUnknown};
 
 constexpr std::size_t kDefaultRingCapacity = 65536;  // events in the ring
@@ -243,10 +243,6 @@ class TraceSink {
   /// the ring right after, so the overshoot is transient).
   void force_push(std::string&& bytes, std::size_t count);
 
-  /// One line, written and flushed under the sink mutex — the
-  /// TracePolicy::kSync ablation path.
-  void write_sync(std::string_view line);
-
   /// Blocks until everything pushed before the call is written and the
   /// stream is flushed.
   void flush_and_wait();
@@ -264,7 +260,7 @@ class TraceSink {
 
   const TracePolicy policy_;
   const std::size_t capacity_;
-  std::ofstream out_;  // drainer-owned after construction (sync: under mu_)
+  std::ofstream out_;  // drainer-owned after construction
 
   /// One thread's staged batch in the ring: a blob of newline-terminated
   /// lines plus its event count for capacity/ledger accounting.
@@ -336,12 +332,8 @@ TraceSink::TraceSink(std::ofstream out, TracePolicy policy,
                      std::size_t capacity)
     : policy_(policy),
       capacity_(capacity == 0 ? kDefaultRingCapacity : capacity),
-      out_(std::move(out)) {
-  if (policy_ != TracePolicy::kSync) {
-    drainer_ =
-        std::jthread([this](std::stop_token stop) { drain_main(stop); });
-  }
-}
+      out_(std::move(out)),
+      drainer_([this](std::stop_token stop) { drain_main(stop); }) {}
 
 void TraceSink::push_batch(std::string&& bytes, std::size_t count) {
   bool dropped = false;
@@ -375,23 +367,9 @@ void TraceSink::force_push(std::string&& bytes, std::size_t count) {
   ring_.push_back(EventBatch{std::move(bytes), count});
 }
 
-void TraceSink::write_sync(std::string_view line) {
-  const std::scoped_lock lock(mu_);
-  if (closed_) {
-    g_dropped.add();
-    return;
-  }
-  out_ << line << '\n';
-  out_.flush();
-}
-
 void TraceSink::flush_and_wait() {
   std::unique_lock lock(mu_);
   if (closed_) return;
-  if (!drainer_.joinable()) {  // sync mode: every write already flushed
-    out_.flush();
-    return;
-  }
   const std::uint64_t gen = ++flush_asked_;
   wake_.notify_one();
   flush_cv_.wait(lock, [&] { return flush_done_ >= gen || closed_; });
@@ -405,14 +383,9 @@ void TraceSink::shutdown() {
   }
   not_full_.notify_all();
   flush_cv_.notify_all();
-  if (drainer_.joinable()) {
-    drainer_.request_stop();
-    wake_.notify_all();
-    drainer_.join();  // the drainer's final pass sweeps, drains, flushes
-  } else {
-    const std::scoped_lock lock(mu_);
-    if (out_.is_open()) out_.flush();
-  }
+  drainer_.request_stop();
+  wake_.notify_all();
+  drainer_.join();  // the drainer's final pass sweeps, drains, flushes
 }
 
 void TraceSink::sweep_buffers() {
@@ -498,21 +471,40 @@ void TraceSink::drain_main(std::stop_token stop) {
   }
 }
 
+// The two env parsers run only from probe_env_sink, which runs once per
+// process (Registry::env_probed), so each fallback warning below is
+// printed at most once per process.
+
 TracePolicy policy_from_env() noexcept {
   const char* raw = std::getenv("CCMX_TRACE_POLICY");
-  if (raw == nullptr) return TracePolicy::kBlock;
+  if (raw == nullptr || raw[0] == '\0') return TracePolicy::kBlock;
   const std::string_view v(raw);
+  if (v == "block") return TracePolicy::kBlock;
   if (v == "drop") return TracePolicy::kDrop;
-  if (v == "sync") return TracePolicy::kSync;
+  std::fprintf(stderr,
+               "ccmx: ignoring CCMX_TRACE_POLICY='%s' (expected block or "
+               "drop); using block\n",
+               raw);
   return TracePolicy::kBlock;
 }
 
 std::size_t capacity_from_env() noexcept {
-  if (const char* raw = std::getenv("CCMX_TRACE_BUFFER")) {
-    const unsigned long long v = std::strtoull(raw, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
+  const char* raw = std::getenv("CCMX_TRACE_BUFFER");
+  if (raw == nullptr || raw[0] == '\0') return 0;  // pick the default
+  // from_chars, unlike strtoull, takes no sign ("-1" would wrap to a
+  // ring that never fills) and reports where the digits stop.
+  const std::string_view v(raw);
+  std::size_t capacity = 0;
+  const auto [end, ec] =
+      std::from_chars(v.data(), v.data() + v.size(), capacity);
+  if (ec == std::errc{} && end == v.data() + v.size() && capacity > 0) {
+    return capacity;
   }
-  return 0;  // pick the default
+  std::fprintf(stderr,
+               "ccmx: ignoring CCMX_TRACE_BUFFER='%s' (expected a positive "
+               "event count); using %zu\n",
+               raw, kDefaultRingCapacity);
+  return 0;
 }
 
 /// Opens the sink; reg.trace_mu must be held by the caller.  On failure
@@ -533,9 +525,7 @@ bool open_trace_sink_locked(Registry& reg, const TraceSinkOptions& options) {
   }
   reg.sink = std::make_shared<TraceSink>(std::move(out), options.policy,
                                          options.capacity);
-  g_sink_mode.store(
-      options.policy == TracePolicy::kSync ? kSinkSync : kSinkAsync,
-      std::memory_order_release);
+  g_sink_mode.store(kSinkAsync, std::memory_order_release);
   return true;
 }
 
@@ -789,7 +779,7 @@ bool event_sink_open() noexcept {
     probe_env_sink();
     mode = g_sink_mode.load(std::memory_order_acquire);
   }
-  return mode == kSinkAsync || mode == kSinkSync;
+  return mode == kSinkAsync;
 }
 
 void emit_event(std::string_view json_object) {
@@ -798,7 +788,7 @@ void emit_event(std::string_view json_object) {
     probe_env_sink();
     mode = g_sink_mode.load(std::memory_order_acquire);
   }
-  if (mode != kSinkAsync && mode != kSinkSync) return;
+  if (mode != kSinkAsync) return;
   // Sampled self-metering: one emit in kMeterPeriod per thread pays the
   // two clock reads, scaled back up, so obs.overhead.emit_ns stays an
   // unbiased estimate without the clocks dominating the fast path.
@@ -806,40 +796,31 @@ void emit_event(std::string_view json_object) {
   const bool metered = (meter_tick++ % kMeterPeriod) == 0;
   const auto t0 = metered ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
-  if (mode == kSinkSync) {
-    g_emitted.add();
+  ThreadEventBuffer& buffer = thread_event_buffer();
+  std::string batch;
+  std::size_t count = 0;
+  {
+    const std::scoped_lock lock(buffer.mu);
+    buffer.bytes.append(json_object);
+    buffer.bytes.push_back('\n');
+    ++buffer.count;
+    if (buffer.count >= kEmitBatch) {
+      batch = std::move(buffer.bytes);
+      count = buffer.count;
+      buffer.bytes.clear();
+      buffer.bytes.reserve(batch.size());  // one alloc per batch, not ~log n
+      buffer.count = 0;
+      buffer.pushing.store(true, std::memory_order_release);
+    }
+  }
+  if (count > 0) {
+    g_emitted.add(count);
     if (const std::shared_ptr<TraceSink> sink = sink_ref()) {
-      sink->write_sync(json_object);
+      sink->push_batch(std::move(batch), count);
     } else {
-      g_dropped.add();  // sink closed between the gate and here
+      g_dropped.add(count);
     }
-  } else {
-    ThreadEventBuffer& buffer = thread_event_buffer();
-    std::string batch;
-    std::size_t count = 0;
-    {
-      const std::scoped_lock lock(buffer.mu);
-      buffer.bytes.append(json_object);
-      buffer.bytes.push_back('\n');
-      ++buffer.count;
-      if (buffer.count >= kEmitBatch) {
-        batch = std::move(buffer.bytes);
-        count = buffer.count;
-        buffer.bytes.clear();
-        buffer.bytes.reserve(batch.size());  // one alloc per batch, not ~log n
-        buffer.count = 0;
-        buffer.pushing.store(true, std::memory_order_release);
-      }
-    }
-    if (count > 0) {
-      g_emitted.add(count);
-      if (const std::shared_ptr<TraceSink> sink = sink_ref()) {
-        sink->push_batch(std::move(batch), count);
-      } else {
-        g_dropped.add(count);
-      }
-      buffer.pushing.store(false, std::memory_order_release);
-    }
+    buffer.pushing.store(false, std::memory_order_release);
   }
   if (metered) g_emit_ns.add(ns_since(t0) * kMeterPeriod);
 }

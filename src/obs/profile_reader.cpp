@@ -7,7 +7,6 @@
 #include "obs/json.hpp"
 #include "obs/schemas.hpp"
 #include "util/narrow.hpp"
-#include "util/require.hpp"
 
 namespace ccmx::obs {
 
@@ -41,21 +40,12 @@ ProfileData load_profile(const std::string& path) {
     return data;
   }
   bool saw_meta = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    json::Value doc;
-    try {
-      doc = json::parse(line);
-    } catch (const util::contract_error&) {
-      // A torn final line is the signature of a killed process; any
-      // other unparseable line is equally just skipped and counted.
-      ++data.skipped;
-      continue;
-    }
+  bool foreign = false;
+  // A torn final line is the signature of a killed process.
+  data.skipped += json::read_jsonl(in, [&](const json::Value& doc) {
     if (!doc.is_object()) {
       ++data.skipped;
-      continue;
+      return true;
     }
     const std::string ev = str_or(doc, "ev");
     if (ev == "meta") {
@@ -64,7 +54,8 @@ ProfileData load_profile(const std::string& path) {
         data.problems.push_back(path + ": schema is \"" + schema +
                                 "\", expected \"" +
                                 std::string(kProfileSchema) + "\"");
-        return data;
+        foreign = true;
+        return false;
       }
       saw_meta = true;
       data.hz = util::narrow_cast<unsigned>(u64_or(doc, "hz", 0));
@@ -106,7 +97,9 @@ ProfileData load_profile(const std::string& path) {
     } else {
       ++data.skipped;
     }
-  }
+    return true;
+  });
+  if (foreign) return data;
   if (!saw_meta) {
     data.problems.push_back(path + ": no ccmx.profile meta row");
   }

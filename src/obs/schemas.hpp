@@ -46,12 +46,6 @@ inline constexpr std::string_view kArchReportSchema = "ccmx.arch_report/1";
 /// extra top-level key (Perfetto ignores keys it does not know).
 inline constexpr std::string_view kChromeTraceSchema = "ccmx.chrome_trace/1";
 
-/// The data island embedded in `ccmx_insight html` dashboards — wraps
-/// the run-report documents the page renders so they can be re-parsed
-/// from the HTML (see obs/html_render.hpp).
-inline constexpr std::string_view kDashboardDataSchema =
-    "ccmx.dashboard_data/1";
-
 /// One JSONL row per sampler tick — RSS, utime/stime, obs counter
 /// deltas, and hardware-counter deltas over the interval, written by the
 /// background telemetry sampler (see obs/hwcounters.hpp).
@@ -73,8 +67,8 @@ inline constexpr std::string_view kProfileSchema = "ccmx.profile/1";
 inline constexpr std::string_view kRegisteredSchemas[] = {
     kRunReportSchema,     kBenchDiffSchema,  kTrajectorySchema,
     kTrendSchema,         kLintReportSchema, kArchReportSchema,
-    kChromeTraceSchema,   kDashboardDataSchema, kTimeseriesSchema,
-    kTimeseriesSummarySchema, kProfileSchema,
+    kChromeTraceSchema,   kTimeseriesSchema, kTimeseriesSummarySchema,
+    kProfileSchema,
 };
 
 [[nodiscard]] constexpr bool is_registered_schema(

@@ -44,8 +44,8 @@ std::int64_t int_field(const json::Value& obj, std::string_view key,
   return static_cast<std::int64_t>(v->number);
 }
 
-/// Stringifies a span "args" member the way the dashboard and Chrome
-/// export want to display it (integers without a trailing ".0").
+/// Stringifies a span "args" member the way the Chrome export wants to
+/// display it (integers without a trailing ".0").
 std::string stringify_arg(const json::Value& v) {
   switch (v.kind) {
     case json::Value::Kind::kString:
@@ -722,23 +722,13 @@ TimeseriesResult load_timeseries(const std::string& path) {
     result.problems.push_back(path + ": cannot open");
     return result;
   }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    json::Value doc;
-    try {
-      doc = json::parse(line);
-    } catch (const util::contract_error&) {
-      // A torn final line is the signature of a killed sampler; any
-      // other unparseable line is equally just skipped and counted.
-      ++result.skipped;
-      continue;
-    }
+  // A torn final line is the signature of a killed sampler.
+  result.skipped += json::read_jsonl(in, [&](const json::Value& doc) {
     const json::Value* schema = doc.find("schema");
     if (schema == nullptr || !schema->is_string() ||
         schema->string != kTimeseriesSchema) {
       ++result.skipped;
-      continue;
+      return true;
     }
     TimeseriesRow row;
     row.seq = ts_u64(doc, "seq");
@@ -776,7 +766,8 @@ TimeseriesResult load_timeseries(const std::string& path) {
           path + ": rows out of order at seq " + std::to_string(row.seq));
     }
     result.rows.push_back(std::move(row));
-  }
+    return true;
+  });
   return result;
 }
 

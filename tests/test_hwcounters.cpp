@@ -354,11 +354,13 @@ TEST(TimeseriesReader, SkipsForeignAndTornLines) {
         << R"("major_faults":0,"counters":{},"hw":{"available":false}})"
         << '\n';
     out << R"({"schema":"ccmx.other/1","x":1})" << '\n';  // foreign schema
+    // A nesting bomb: skipped at the parser's depth bound, not a crash.
+    out << std::string(200000, '[') << std::string(200000, ']') << '\n';
     out << R"({"schema":"ccmx.timeseries/1","seq":1,"t_us)";  // torn tail
   }
   const obs::TimeseriesResult series = obs::load_timeseries(path);
   ASSERT_EQ(series.rows.size(), 1u);
-  EXPECT_EQ(series.skipped, 2u);
+  EXPECT_EQ(series.skipped, 3u);
   EXPECT_EQ(series.rows[0].rss_bytes, 4096);
   EXPECT_FALSE(series.rows[0].hw_available);
   std::filesystem::remove(path);

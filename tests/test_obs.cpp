@@ -6,7 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "comm/channel.hpp"
 #include "obs/json.hpp"
@@ -267,6 +269,50 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW((void)obs::json::parse("{} trailing"), util::contract_error);
   EXPECT_THROW((void)obs::json::parse("\"unterminated"), util::contract_error);
   EXPECT_THROW((void)obs::json::parse("nul"), util::contract_error);
+  // A nesting bomb is rejected at the depth bound instead of
+  // overflowing the recursive parser's stack.
+  const std::string deep =
+      std::string(200000, '[') + std::string(200000, ']');
+  EXPECT_THROW((void)obs::json::parse(deep), util::contract_error);
+}
+
+TEST(Json, NestingUpToTheDepthBoundParses) {
+  const std::size_t depth = obs::json::kMaxDepth;
+  const Value doc = obs::json::parse(std::string(depth, '[') +
+                                     std::string(depth, ']'));
+  EXPECT_TRUE(doc.is_array());
+  EXPECT_THROW((void)obs::json::parse(std::string(depth + 1, '[') +
+                                      std::string(depth + 1, ']')),
+               util::contract_error);
+  // Depth is nesting, not container count: siblings do not accumulate.
+  std::string wide = "[";
+  for (std::size_t i = 0; i < 2 * depth; ++i) wide += i == 0 ? "{}" : ",{}";
+  wide += ']';
+  EXPECT_EQ(obs::json::parse(wide).array.size(), 2 * depth);
+}
+
+TEST(Json, ReadJsonlSkipsBlankLinesAndCountsUnparseableOnes) {
+  std::istringstream in("{\"a\":1}\n\n{\"a\":\n[2]\n{\"a\":3}\n{\"a\":4");
+  std::vector<double> seen;
+  const std::size_t skipped =
+      obs::json::read_jsonl(in, [&](const Value& doc) {
+        seen.push_back(doc.is_object() ? doc.find("a")->number : -1.0);
+        return true;
+      });
+  EXPECT_EQ(skipped, 2u);  // the torn middle line and the torn tail
+  EXPECT_EQ(seen, (std::vector<double>{1.0, -1.0, 3.0}));
+}
+
+TEST(Json, ReadJsonlStopsWhenTheCallbackSaysSo) {
+  std::istringstream in("1\n2\nnot json\n3\n");
+  std::size_t calls = 0;
+  const std::size_t skipped =
+      obs::json::read_jsonl(in, [&](const Value& doc) {
+        ++calls;
+        return doc.number < 2.0;
+      });
+  EXPECT_EQ(calls, 2u);
+  EXPECT_EQ(skipped, 0u);  // the bad line after the stop is never read
 }
 
 TEST(RunReport, RendersValidSchema) {

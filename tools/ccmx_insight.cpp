@@ -42,12 +42,6 @@
 //       joins the samples against the span forest of the same run for
 //       per-span attribution.  Exit 1 when the ledger is missing or
 //       does not balance (captured != written + dropped).
-//   html --reports DIR [--trajectory FILE] [--diff DIFF.json]
-//       [--arch ARCH.json] [--trace FILE] [--timeseries FILE]
-//       [--profile FILE] [--out FILE] [--title S]
-//       Render the observability artifacts into ONE self-contained HTML
-//       dashboard (inline SVG/CSS, no scripts, no network) with the
-//       run-report JSON embedded as a ccmx.dashboard_data/1 island.
 //   fit --law send-half|fingerprint [--seed N] [--max-dev F]
 //       Run instrumented protocol sweeps, read the measured bits back
 //       out of the JSONL trace they emitted, and fit the paper's laws:
@@ -81,7 +75,6 @@
 #include "lint/arch.hpp"
 #include "lint/lint.hpp"
 #include "obs/analysis.hpp"
-#include "obs/html_render.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile_reader.hpp"
@@ -99,7 +92,7 @@ using namespace ccmx;
 int usage() {
   std::cerr <<
       "usage: ccmx_insight "
-      "<diff|trajectory|trend|trace|timeseries|profile|html|fit|lint|arch>"
+      "<diff|trajectory|trend|trace|timeseries|profile|fit|lint|arch>"
       " ...\n"
       "  diff --baseline DIR --candidate DIR [--json PATH] [--md PATH]\n"
       "       [--cpu-tol F=0.20] [--counter-tol F=0.25] [--rss-tol F=0.30]\n"
@@ -111,9 +104,6 @@ int usage() {
       "  trace FILE [--report BENCH.json] [--chrome OUT.json]\n"
       "  timeseries FILE [--json PATH]\n"
       "  profile FILE [--top N=15] [--collapsed OUT] [--trace TRACE.jsonl]\n"
-      "  html --reports DIR [--trajectory FILE] [--diff DIFF.json]\n"
-      "       [--arch ARCH.json] [--trace FILE] [--timeseries FILE]\n"
-      "       [--profile FILE] [--out FILE=dashboard.html] [--title S]\n"
       "  fit --law send-half|fingerprint [--seed N=7] [--max-dev F]\n"
       "  lint FILE\n"
       "  arch FILE\n";
@@ -839,131 +829,6 @@ int cmd_profile(Args& args) {
   return rc;
 }
 
-// ---------------------------------------------------------------- html
-
-int cmd_html(Args& args) {
-  const auto reports_dir = args.option("--reports");
-  if (!reports_dir) return usage();
-  const std::string out = args.option("--out").value_or("dashboard.html");
-
-  const obs::LoadResult reports = obs::load_report_dir(*reports_dir);
-  for (const std::string& p : reports.problems) {
-    std::cerr << "warning: " << p << '\n';
-  }
-
-  obs::DashboardData data;
-  data.reports = &reports;
-  data.title = args.option("--title").value_or("ccmx observability dashboard");
-  if (!reports.reports.empty()) {
-    const obs::LoadedReport& first = reports.reports.front();
-    data.provenance = "git " + first.git_sha.substr(0, 12) + ", " +
-                      first.build_type + " build, " +
-                      std::to_string(reports.reports.size()) +
-                      " run report(s) from " + *reports_dir;
-  } else {
-    data.provenance = "no run reports in " + *reports_dir;
-  }
-
-  // Optional sections — each loads independently; a missing artifact is
-  // a note on the page, not a failure.
-  obs::TrajectorySeriesResult series;
-  obs::TrendResult trend;
-  if (const auto trajectory = args.option("--trajectory")) {
-    series = obs::load_trajectory_series(*trajectory);
-    trend = obs::trend_from_trajectory(*trajectory);
-    data.series = &series;
-    data.trend = &trend;
-  }
-
-  obs::json::Value diff_doc;
-  if (const auto diff_path = args.option("--diff")) {
-    std::ifstream in(*diff_path, std::ios::binary);
-    if (!in.is_open()) {
-      std::cerr << "error: cannot open " << *diff_path << '\n';
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    try {
-      diff_doc = obs::json::parse(buffer.str());
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << *diff_path << ": " << e.what() << '\n';
-      return 2;
-    }
-    const std::vector<std::string> problems =
-        obs::validate_bench_diff(diff_doc);
-    if (!problems.empty()) {
-      std::cerr << "error: " << *diff_path
-                << " is not a valid bench diff\n";
-      for (const std::string& p : problems) std::cerr << "  " << p << '\n';
-      return 2;
-    }
-    data.diff = &diff_doc;
-  }
-
-  std::optional<obs::json::Value> arch_doc;
-  if (const auto arch_path = args.option("--arch")) {
-    arch_doc = load_arch_report(*arch_path);
-    if (!arch_doc) return 2;
-    data.arch = &*arch_doc;
-  }
-
-  obs::ChannelTrace trace;
-  obs::SpanForest forest;
-  obs::TraceReadStats trace_stats;
-  if (const auto trace_path = args.option("--trace")) {
-    // Same tolerant chunked read as `trace`: a dashboard over a damaged
-    // trace should render the damage, not die on it.
-    obs::TraceReadOptions options;
-    options.tolerate_gaps = true;
-    options.tolerate_truncated_tail = true;
-    obs::TraceStream stream(options);
-    try {
-      stream.consume_file(*trace_path);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << '\n';
-      return 2;
-    }
-    trace_stats = stream.stats();
-    trace = stream.take_trace();
-    forest = obs::build_span_forest(trace.spans);
-    data.trace = &trace;
-    data.forest = &forest;
-    data.trace_stats = &trace_stats;
-  }
-
-  obs::TimeseriesResult timeseries;
-  if (const auto ts_path = args.option("--timeseries")) {
-    // Tolerant like the other optional sections: a sampler killed
-    // mid-row still renders; only a fully missing/empty series warns.
-    timeseries = obs::load_timeseries(*ts_path);
-    for (const std::string& p : timeseries.problems) {
-      std::cerr << "warning: " << p << '\n';
-    }
-    data.timeseries = &timeseries;
-  }
-
-  obs::ProfileData profile;
-  if (const auto profile_path = args.option("--profile")) {
-    // Tolerant too: a profile with problems renders them as warnings on
-    // the page; only the section's absence needs the note.
-    profile = obs::load_profile(*profile_path);
-    for (const std::string& p : profile.problems) {
-      std::cerr << "warning: " << p << '\n';
-    }
-    data.profile = &profile;
-  }
-
-  const std::string html = obs::render_dashboard_html(data);
-  if (!write_text_file(out, html)) {
-    std::cerr << "error: cannot write " << out << '\n';
-    return 2;
-  }
-  std::cout << "dashboard: " << out << " (" << html.size()
-            << " bytes, self-contained)\n";
-  return 0;
-}
-
 // ----------------------------------------------------------------- fit
 
 la::IntMatrix random_entries(std::size_t n, unsigned k,
@@ -1182,7 +1047,6 @@ int main(int argc, char** argv) {
     if (cmd == "trace") return cmd_trace(args);
     if (cmd == "timeseries") return cmd_timeseries(args);
     if (cmd == "profile") return cmd_profile(args);
-    if (cmd == "html") return cmd_html(args);
     if (cmd == "fit") return cmd_fit(args);
     if (cmd == "lint") return cmd_lint(args);
     if (cmd == "arch") return cmd_arch(args);

@@ -6,17 +6,21 @@
 //     Theta(n^2) -> Theta(n) cycles, AT^2 approaching the bound),
 //   * census engines: serial recompute vs pooled recompute vs pooled
 //     delta-evaluated sweeps (identical ones counts, very different cost).
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/census.hpp"
+#include "core/construction.hpp"
 #include "linalg/det.hpp"
-#include "util/parallel.hpp"
 #include "linalg/det_crt.hpp"
 #include "linalg/hnf.hpp"
 #include "linalg/rref.hpp"
 #include "linalg/solve_crt.hpp"
 #include "linalg/strassen.hpp"
+#include "util/parallel.hpp"
+#include "util/require.hpp"
 #include "vlsi/mesh.hpp"
 #include "vlsi/tradeoffs.hpp"
 
@@ -25,28 +29,95 @@ namespace {
 using namespace ccmx;
 using bench::random_entries;
 
+enum class DetInput { kRandom, kDupRow, kPaper };
+
+/// One A0a row: `trials` inputs of one kind.  For kPaper, n and bits are
+/// the construction's (n, k) and the matrix is 2n x 2n.
+struct DetRow {
+  DetInput input;
+  std::size_t n;
+  unsigned bits;
+  int trials;
+};
+
+/// 'random' duplicates a column in every third trial, 'dup row' copies one
+/// row over another, 'paper' is build_m of a Lemma 3.5(a) completion.
+la::IntMatrix det_input(const DetRow& row, int trial, util::Xoshiro256& rng) {
+  if (row.input == DetInput::kPaper) {
+    const core::ConstructionParams p(row.n, row.bits);
+    const auto seed = core::FreeParts::random(p, rng);
+    const auto parts = core::lemma35_complete(p, seed.c, seed.e);
+    CCMX_REQUIRE(parts.has_value(), "Lemma 3.5(a) completion failed");
+    return core::build_m(p, *parts);
+  }
+  const std::size_t n = row.n;
+  la::IntMatrix m = random_entries(n, n, row.bits, rng);
+  if (row.input == DetInput::kDupRow) {
+    const std::size_t src = rng.below(n);
+    const std::size_t dst = (src + 1 + rng.below(n - 1)) % n;
+    for (std::size_t j = 0; j < n; ++j) m(dst, j) = m(src, j);
+  } else if (trial % 3 == 0) {
+    for (std::size_t i = 0; i < n; ++i) m(i, n - 1) = m(i, 0);
+  }
+  return m;
+}
+
+/// Each engine's agreement with Bareiss over one row's inputs; "-" where an
+/// engine is skipped as too slow (cofactor is O(n!), SNF's HNF is BigInt).
+void det_agreement_row(util::TextTable& table, const DetRow& row,
+                       util::Xoshiro256& rng) {
+  int singular = 0, det_ok = 0, crt_ok = 0, snf_ok = 0, cof_ok = 0;
+  int sing_ok = 0;
+  std::size_t dim = 0, widest = 0;
+  for (int trial = 0; trial < row.trials; ++trial) {
+    const la::IntMatrix m = det_input(row, trial, rng);
+    dim = m.rows();
+    for (const num::BigInt& v : m.data()) {
+      widest = std::max(widest, v.bit_length());
+    }
+    const num::BigInt det = la::det_bareiss(m);
+    singular += det.is_zero();
+    det_ok += la::det(m) == det;
+    crt_ok += la::det_crt(m) == det;
+    sing_ok += la::is_singular(m) == det.is_zero();
+    if (dim <= 8) {
+      snf_ok += la::abs_det_via_snf(m) == det.abs();
+      cof_ok += la::det_cofactor(m) == det;
+    }
+  }
+  const auto shown = [&](int ok) {
+    return dim <= 8 ? std::to_string(ok) : std::string("-");
+  };
+  const char* names[] = {"random", "dup row", "paper"};
+  table.row(names[static_cast<int>(row.input)], dim, widest, row.trials,
+            singular, det_ok, crt_ok, shown(snf_ok), shown(cof_ok), sing_ok);
+}
+
 void print_tables() {
   bench::print_header(
       "A0a — determinant engine agreement",
-      "Four independent exact engines on the same inputs (incl. singular).");
-  util::TextTable det_table({"n", "bits", "trials", "bareiss=crt",
-                             "bareiss=snf(|.|)", "bareiss=cofactor"});
+      "Independent exact engines on the same inputs, each counted against\n"
+      "Bareiss: la::det (the dispatch), CRT, |det| via SNF, cofactor, and\n"
+      "la::is_singular's early-exit verdict.  'random' rows duplicate a\n"
+      "column in every third trial; 'dup row' and 'paper' rows (build_m of a\n"
+      "Lemma 3.5(a) completion) are singular by construction.");
+  util::TextTable det_table({"input", "n", "bits", "trials", "singular",
+                             "bareiss=det", "bareiss=crt", "bareiss=snf(|.|)",
+                             "bareiss=cofactor", "is_singular ok"});
+  // The first three rows are the original A0a inputs (same seeds).
   for (const auto& [n, bits] : std::vector<std::pair<std::size_t, unsigned>>{
            {4, 8}, {6, 16}, {8, 32}}) {
     util::Xoshiro256 rng(n * 7 + bits);
-    const int trials = 10;
-    int crt_ok = 0, snf_ok = 0, cof_ok = 0;
-    for (int trial = 0; trial < trials; ++trial) {
-      la::IntMatrix m = random_entries(n, n, bits, rng);
-      if (trial % 3 == 0) {
-        for (std::size_t i = 0; i < n; ++i) m(i, n - 1) = m(i, 0);
-      }
-      const num::BigInt det = la::det_bareiss(m);
-      crt_ok += la::det_crt(m) == det;
-      snf_ok += la::abs_det_via_snf(m) == det.abs();
-      cof_ok += n > 8 || la::det_cofactor(m) == det;
-    }
-    det_table.row(n, bits, trials, crt_ok, snf_ok, cof_ok);
+    det_agreement_row(det_table, {DetInput::kRandom, n, bits, 10}, rng);
+  }
+  util::Xoshiro256 shared_rng(2024);
+  for (const DetRow& row : std::vector<DetRow>{
+           {DetInput::kRandom, 16, 32, 10}, {DetInput::kRandom, 32, 32, 6},
+           {DetInput::kRandom, 64, 32, 3},  {DetInput::kDupRow, 16, 32, 6},
+           {DetInput::kDupRow, 32, 32, 4},  {DetInput::kDupRow, 64, 32, 3},
+           {DetInput::kPaper, 7, 2, 6},     {DetInput::kPaper, 15, 4, 4},
+           {DetInput::kPaper, 31, 8, 3}}) {
+    det_agreement_row(det_table, row, shared_rng);
   }
   bench::print_table(det_table);
 
@@ -126,8 +197,9 @@ void BM_DetSnf(benchmark::State& state) {
     benchmark::DoNotOptimize(la::abs_det_via_snf(m).signum());
   }
 }
-BENCHMARK(BM_DetBareiss)->Arg(4)->Arg(8)->Arg(16);
-BENCHMARK(BM_DetCrt)->Arg(4)->Arg(8)->Arg(16);
+// n = 4..16 brackets la::kDetCrtCrossover (docs/PERFORMANCE.md).
+BENCHMARK(BM_DetBareiss)->DenseRange(4, 16, 2);
+BENCHMARK(BM_DetCrt)->DenseRange(4, 16, 2);
 BENCHMARK(BM_DetSnf)->Arg(4)->Arg(8);
 
 void BM_MultiplyNaive(benchmark::State& state) {

@@ -27,7 +27,7 @@ void print_tables() {
         for (std::size_t i = 0; i < m_dim; ++i) m(i, m_dim - 1) = m(i, 0);
       }
       const la::IntMatrix padded = core::pad_to_odd_2n(m);
-      det_ok += la::det_bareiss(padded) == la::det_bareiss(m);
+      det_ok += la::det(padded) == la::det(m);
       sing_ok += la::is_singular(padded) == la::is_singular(m);
     }
     const std::size_t n = core::padded_half_dimension(m_dim);
@@ -56,7 +56,7 @@ void BM_PaddedDeterminant(benchmark::State& state) {
   const la::IntMatrix m = random_entries(m_dim, m_dim, 3, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        la::det_bareiss(core::pad_to_odd_2n(m)).is_zero());
+        la::det(core::pad_to_odd_2n(m)).is_zero());
   }
 }
 BENCHMARK(BM_PaddedDeterminant)->Arg(4)->Arg(8)->Arg(12);

@@ -13,8 +13,9 @@
 //
 // Build & run:  ./build/examples/ccmx_cli singularity 8 8
 //
-// Numeric arguments must be plain non-negative decimal integers; anything
-// else prints an "error:" line and exits 2, like a usage error.
+// Numeric arguments must be plain non-negative decimal integers, and k at
+// most 62; anything else prints an "error:" line and exits 2, like a usage
+// error.
 //
 // Observability: CCMX_TRACE=1 turns the obs counters on;
 // CCMX_REPORT=<path> writes a ccmx.run_report/1 JSON summary at exit
@@ -48,6 +49,9 @@
 namespace {
 
 using namespace ccmx;
+
+/// Widest entry the bit layouts and the random draws support.
+constexpr std::uint64_t kMaxEntryBits = 62;
 
 la::IntMatrix random_entries(std::size_t n, unsigned k,
                              util::Xoshiro256& rng) {
@@ -125,7 +129,7 @@ int cmd_hard(std::size_t n, unsigned k, std::uint64_t seed) {
   const la::IntMatrix m = core::build_m(p, *completed);
   std::cout << "Built the " << 2 * n << "x" << 2 * n
             << " restricted instance (q = " << p.q() << ")\n";
-  std::cout << "det(M) = " << la::det_bareiss(m) << "  (Lemma 3.5(a) says 0)\n";
+  std::cout << "det(M) = " << la::det(m) << "  (Lemma 3.5(a) says 0)\n";
   std::cout << "scalar characterization: "
             << (core::restricted_singular(p, *completed) ? "singular"
                                                          : "nonsingular")
@@ -256,6 +260,13 @@ int main(int argc, char** argv) {
   const auto seed_arg = argc > 4 ? parse_count("seed", argv[4])
                                  : std::optional<std::uint64_t>(2024);
   if (!n_arg || !arg3_arg || !seed_arg) return 2;
+  // Entries are drawn below 2^k and packed k bits each; a wider k would
+  // shift past the word before MatrixBitLayout could reject it.
+  if (cmd != "rank" && *arg3_arg > kMaxEntryBits) {
+    std::cerr << "error: k must be at most " << kMaxEntryBits << ", got '"
+              << argv[3] << "'\n";
+    return 2;
+  }
   const std::size_t n = *n_arg;
   const std::size_t arg3 = *arg3_arg;
   const std::uint64_t seed = *seed_arg;

@@ -58,7 +58,7 @@ int main() {
   const la::IntMatrix m = core::build_m(p, *completed);
   std::cout << "Lemma 3.5(a): given (C, E), digits for D and y were chosen\n"
             << "(base -q numerals!) so that M is singular.  Check:\n";
-  std::cout << "  det(M) = " << la::det_bareiss(m) << "\n";
+  std::cout << "  det(M) = " << la::det(m) << "\n";
   std::cout << "  scalar characterization says: "
             << (core::restricted_singular(p, *completed) ? "singular"
                                                          : "nonsingular")

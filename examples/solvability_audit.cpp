@@ -105,7 +105,7 @@ int main() {
     const la::IntMatrix m = core::build_m(p, *singular_parts);
     const auto instance = core::corollary13_instance(m);
     std::cout << "(3) Corollary 1.3 instance from a singular restricted M\n"
-              << "  det(M) = " << la::det_bareiss(m) << " => the system must"
+              << "  det(M) = " << la::det(m) << " => the system must"
               << " be solvable:\n"
               << "  solvable(M', b) = "
               << (core::solvable(instance.m_prime, instance.b) ? "yes" : "no")

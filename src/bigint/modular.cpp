@@ -1,6 +1,8 @@
 #include "bigint/modular.hpp"
 
 #include <array>
+#include <mutex>
+#include <utility>
 
 #include "bigint/bigint.hpp"
 #include "util/require.hpp"
@@ -28,20 +30,19 @@ std::uint64_t powmod(std::uint64_t base, std::uint64_t exp, std::uint64_t m) {
 
 std::uint64_t invmod(std::uint64_t a, std::uint64_t m) {
   CCMX_REQUIRE(m > 1, "invmod needs modulus > 1");
-  // Extended Euclid over signed 128-bit accumulators.
-  using ccmx::util::i128;
-  i128 t = 0, new_t = 1;
-  i128 r = m, new_r = a % m;
-  while (new_r != 0) {
-    const i128 q = r / new_r;
-    t -= q * new_t;
-    std::swap(t, new_t);
-    r -= q * new_r;
-    std::swap(r, new_r);
+  // Extended Euclid on words.  The Bezout coefficients of a alternate in
+  // sign, t_j = (-1)^(j+1) u_j, so only their magnitudes u_j <= m are kept.
+  std::uint64_t r0 = m, r1 = a % m;
+  std::uint64_t u0 = 0, u1 = 1;
+  bool odd = false;  // parity of the step count j: t_j = odd ? u_j : -u_j
+  while (r1 != 0) {
+    const std::uint64_t q = r0 / r1;
+    r0 = std::exchange(r1, r0 - q * r1);
+    u0 = std::exchange(u1, u0 + q * u1);
+    odd = !odd;
   }
-  CCMX_REQUIRE(r == 1, "invmod of a non-unit");
-  if (t < 0) t += m;
-  return static_cast<std::uint64_t>(t);
+  CCMX_REQUIRE(r0 == 1, "invmod of a non-unit");
+  return odd ? u0 : m - u0;
 }
 
 bool is_prime(std::uint64_t n) {
@@ -82,6 +83,22 @@ std::uint64_t next_prime(std::uint64_t n) {
   std::uint64_t candidate = n | 1u;
   while (!is_prime(candidate)) candidate += 2;
   return candidate;
+}
+
+namespace {
+
+std::mutex g_ladder_mutex;
+std::vector<std::uint64_t> g_ladder;  // guarded by g_ladder_mutex
+
+}  // namespace
+
+std::uint64_t ladder_prime(std::size_t i) {
+  const std::lock_guard<std::mutex> lock(g_ladder_mutex);
+  while (g_ladder.size() <= i) {
+    g_ladder.push_back(next_prime(
+        g_ladder.empty() ? (std::uint64_t{1} << 61) + 1 : g_ladder.back() + 2));
+  }
+  return g_ladder[i];
 }
 
 std::uint64_t random_prime(unsigned bits, ccmx::util::Xoshiro256& rng) {

@@ -14,7 +14,7 @@ using num::BigInt;
 using num::Rational;
 
 bool singular_via_determinant(const la::IntMatrix& m) {
-  return la::det_bareiss(m).is_zero();
+  return la::det(m).is_zero();
 }
 
 bool singular_via_rank(const la::IntMatrix& m) {

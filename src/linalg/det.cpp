@@ -1,7 +1,9 @@
 #include "linalg/det.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "linalg/det_crt.hpp"
 #include "util/require.hpp"
 
 namespace ccmx::la {
@@ -57,7 +59,9 @@ BigInt det_cofactor(const IntMatrix& m) {
   return total;
 }
 
-bool is_singular(const IntMatrix& m) { return det_bareiss(m).is_zero(); }
+BigInt det(const IntMatrix& m) {
+  return m.rows() < kDetCrtCrossover ? det_bareiss(m) : det_crt(m);
+}
 
 std::size_t hadamard_det_bits(std::size_t n, unsigned k) {
   // |det| <= (2^k * sqrt(n))^n  =>  bits <= n * (k + log2(n)/2) + 1.
@@ -66,6 +70,25 @@ std::size_t hadamard_det_bits(std::size_t n, unsigned k) {
           (static_cast<double>(k) +
            0.5 * std::log2(static_cast<double>(n == 0 ? 1 : n))) +
       1.0;
+  return static_cast<std::size_t>(std::ceil(bits));
+}
+
+std::size_t hadamard_det_bits(const IntMatrix& m) {
+  // |det| <= prod_i ||row_i||_2, and ||row_i||_2 <= sqrt(nnz_i) * 2^{b_i}
+  // where b_i is the widest entry of row i: no cap on the entry width.
+  double bits = 1.0;
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    std::size_t width = 0;
+    std::size_t nonzeros = 0;
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      if (m(i, j).is_zero()) continue;
+      ++nonzeros;
+      width = std::max(width, m(i, j).bit_length());
+    }
+    if (nonzeros == 0) return 0;  // a zero row: every such det is 0
+    bits += static_cast<double>(width) +
+            0.5 * std::log2(static_cast<double>(nonzeros));
+  }
   return static_cast<std::size_t>(std::ceil(bits));
 }
 

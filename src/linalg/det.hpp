@@ -1,16 +1,37 @@
-// Exact determinants of integer matrices.
+// Exact determinants and singularity of integer matrices.
 //
-// The workhorse is Bareiss fraction-free elimination: all intermediate
-// quantities stay integral and bounded by Hadamard's inequality, so the cost
-// is O(n^3) BigInt operations on n(k + log n)-bit numbers — exactly the
-// quantity the paper's communication argument is about.  A cofactor
-// expansion is kept as an independent reference oracle for tests.
+// Callers ask two questions, each with one entry point:
+//   * det(m) — the value.  Bareiss fraction-free elimination below
+//     kDetCrtCrossover rows (all intermediates integral and bounded by
+//     Hadamard's inequality, O(n^3) BigInt operations), det_crt above it
+//     (one word-sized elimination per 62-bit prime, then CRT).
+//   * is_singular(m) — only whether det(m) == 0.  Multimodular with an
+//     early exit: one nonzero det mod p proves nonsingularity, and zero
+//     residues on primes whose product exceeds the Hadamard bound prove
+//     singularity.  This is Leighton's fingerprint bound read as a
+//     certificate, and never builds a BigInt.
+// det_bareiss, det_crt (det_crt.hpp) and the O(n!) cofactor expansion stay
+// as named engines so tests and the A0a table can cross-check them.
 #pragma once
+
+#include <cstddef>
 
 #include "bigint/bigint.hpp"
 #include "linalg/convert.hpp"
 
 namespace ccmx::la {
+
+/// Rows from which det() runs det_crt instead of Bareiss: the first n at
+/// which det_crt wins for both 8- and 32-bit entries (BM_DetBareiss /
+/// BM_DetCrt in bench_ablations; numbers in docs/PERFORMANCE.md).
+inline constexpr std::size_t kDetCrtCrossover = 7;
+
+/// det(m), exact.  Requires square.
+[[nodiscard]] num::BigInt det(const IntMatrix& m);
+
+/// True iff det(m) == 0, decided exactly by the early-exit multimodular
+/// engine.  Requires square.
+[[nodiscard]] bool is_singular(const IntMatrix& m);
 
 /// det(m) by Bareiss fraction-free Gaussian elimination.  Requires square.
 [[nodiscard]] num::BigInt det_bareiss(const IntMatrix& m);
@@ -18,12 +39,16 @@ namespace ccmx::la {
 /// det(m) by cofactor expansion — O(n!) reference oracle for small n.
 [[nodiscard]] num::BigInt det_cofactor(const IntMatrix& m);
 
-/// True iff det(m) == 0.
-[[nodiscard]] bool is_singular(const IntMatrix& m);
-
 /// Hadamard upper bound on |det| for an n x n matrix whose entries have
 /// absolute value < 2^k: (2^k * sqrt(n))^n, returned as a bit-length bound.
 /// This drives the fingerprint protocols' prime-pool sizing.
 [[nodiscard]] std::size_t hadamard_det_bits(std::size_t n, unsigned k);
+
+/// Bit-length bound on prod_i ||row_i||_2, from each row's widest entry and
+/// nonzero count — valid for entries of any width.  By Hadamard's
+/// inequality it bounds |det m| for square m; for an augmented [A | b] it
+/// bounds det A and every Cramer numerator (a row of A with one entry
+/// replaced by b_i is no longer than the row of [A | b]).
+[[nodiscard]] std::size_t hadamard_det_bits(const IntMatrix& m);
 
 }  // namespace ccmx::la

@@ -10,6 +10,12 @@ namespace {
 using num::invmod;
 using num::mulmod;
 
+/// The row kernel (num::submul_row_mod) needs 2p to fit in a word.
+void require_modulus(std::uint64_t p) {
+  CCMX_REQUIRE(p >= 2 && p < (std::uint64_t{1} << 63),
+               "modulus must be in [2, 2^63)");
+}
+
 /// In-place elimination to row echelon form; returns (rank, det-accumulator).
 /// The determinant accumulator is only meaningful for square inputs.
 std::pair<std::size_t, std::uint64_t> echelon(ModMatrix& a, std::uint64_t p) {
@@ -30,14 +36,12 @@ std::pair<std::size_t, std::uint64_t> echelon(ModMatrix& a, std::uint64_t p) {
       if (det == p) det = 0;
     }
     const std::uint64_t inv = invmod(a(row, col), p);
+    const std::uint64_t inv_shoup = num::shoup_precompute(inv, p);
     det = mulmod(det, a(row, col), p);
     for (std::size_t i = row + 1; i < rows; ++i) {
       if (a(i, col) == 0) continue;
-      const std::uint64_t factor = mulmod(a(i, col), inv, p);
-      for (std::size_t j = col; j < cols; ++j) {
-        const std::uint64_t sub = mulmod(factor, a(row, j), p);
-        a(i, j) = a(i, j) >= sub ? a(i, j) - sub : a(i, j) + p - sub;
-      }
+      num::submul_row_mod(&a(i, col), &a(row, col), cols - col,
+                          num::mulmod_shoup(inv, inv_shoup, a(i, col), p), p);
     }
     ++row;
   }
@@ -48,19 +52,20 @@ std::pair<std::size_t, std::uint64_t> echelon(ModMatrix& a, std::uint64_t p) {
 
 std::uint64_t det_mod_p(ModMatrix m, std::uint64_t p) {
   CCMX_REQUIRE(m.is_square(), "determinant of a non-square matrix");
-  CCMX_REQUIRE(p >= 2, "modulus must be at least 2");
+  require_modulus(p);
   auto [rank, det] = echelon(m, p);
   return rank == m.rows() ? det : 0;
 }
 
 std::size_t rank_mod_p(ModMatrix m, std::uint64_t p) {
-  CCMX_REQUIRE(p >= 2, "modulus must be at least 2");
+  require_modulus(p);
   return echelon(m, p).first;
 }
 
 std::optional<std::vector<std::uint64_t>> solve_mod_p(
     ModMatrix m, std::vector<std::uint64_t> b, std::uint64_t p) {
   CCMX_REQUIRE(b.size() == m.rows(), "solve shape mismatch");
+  require_modulus(p);
   const std::size_t cols = m.cols();
   ModMatrix augmented(m.rows(), cols + 1);
   augmented.set_block(0, 0, m);
@@ -75,17 +80,15 @@ std::optional<std::vector<std::uint64_t>> solve_mod_p(
     if (pivot == rows) continue;
     augmented.swap_rows(pivot, row);
     const std::uint64_t inv = invmod(augmented(row, col), p);
+    const std::uint64_t inv_shoup = num::shoup_precompute(inv, p);
     for (std::size_t j = col; j <= cols; ++j) {
-      augmented(row, j) = mulmod(augmented(row, j), inv, p);
+      augmented(row, j) =
+          num::mulmod_shoup(inv, inv_shoup, augmented(row, j), p);
     }
     for (std::size_t i = 0; i < rows; ++i) {
       if (i == row || augmented(i, col) == 0) continue;
-      const std::uint64_t factor = augmented(i, col);
-      for (std::size_t j = col; j <= cols; ++j) {
-        const std::uint64_t sub = mulmod(factor, augmented(row, j), p);
-        augmented(i, j) = augmented(i, j) >= sub ? augmented(i, j) - sub
-                                                 : augmented(i, j) + p - sub;
-      }
+      num::submul_row_mod(&augmented(i, col), &augmented(row, col),
+                          cols + 1 - col, augmented(i, col) % p, p);
     }
     pivot_cols.push_back(col);
     ++row;

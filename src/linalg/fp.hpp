@@ -3,7 +3,11 @@
 // This is the arithmetic the probabilistic protocols run: an agent reduces
 // its half of the matrix mod a public random prime, ships the residues, and
 // the receiver decides singularity / rank / solvability in Z_p.  Plain
-// Gaussian elimination with 128-bit products — no fraction growth.
+// Gaussian elimination — no fraction growth.  The row update multiplies by
+// one factor per row, so it runs on Shoup's precomputed quotient
+// (num::submul_row_mod): two word multiplies and a conditional subtract per
+// entry instead of a 128-bit division, with residues identical to
+// mulmod's.  Moduli must be below 2^63.
 #pragma once
 
 #include <cstdint>

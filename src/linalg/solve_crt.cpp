@@ -1,7 +1,5 @@
 #include "linalg/solve_crt.hpp"
 
-#include <cmath>
-
 #include "bigint/modular.hpp"
 #include "linalg/det.hpp"
 #include "linalg/fp.hpp"
@@ -48,21 +46,6 @@ std::optional<Rational> rational_reconstruct(const BigInt& value,
   return Rational(num, den);
 }
 
-namespace {
-
-std::size_t max_entry_bits(const IntMatrix& a, const std::vector<BigInt>& b) {
-  std::size_t bits = 1;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      bits = std::max(bits, a(i, j).bit_length());
-    }
-  }
-  for (const BigInt& v : b) bits = std::max(bits, v.bit_length());
-  return bits;
-}
-
-}  // namespace
-
 std::optional<std::vector<Rational>> solve_crt(const IntMatrix& a,
                                                const std::vector<BigInt>& b) {
   CCMX_REQUIRE(a.is_square(), "solve_crt needs a square system");
@@ -70,11 +53,11 @@ std::optional<std::vector<Rational>> solve_crt(const IntMatrix& a,
   const std::size_t n = a.rows();
   if (n == 0) return std::vector<Rational>{};
 
-  // Cramer bound: numerators and denominator are determinants of matrices
-  // with entries of `k` bits, so both are below 2^H with H = Hadamard bits.
-  const auto k = util::narrow_cast<unsigned>(
-      std::min<std::size_t>(62, max_entry_bits(a, b) + 1));
-  const std::size_t h_bits = hadamard_det_bits(n, k) + 1;
+  // Cramer bound: numerators and denominator are determinants whose rows
+  // are no longer than the rows of [A | b], so both are below 2^H.
+  IntMatrix b_col(n, 1);
+  for (std::size_t i = 0; i < n; ++i) b_col(i, 0) = b[i];
+  const std::size_t h_bits = hadamard_det_bits(a.augment(b_col)) + 1;
   // Reconstruction needs 2 * bound^2 < modulus: ~2H + 2 bits of primes.
   const std::size_t needed_bits = 2 * h_bits + 4;
   const std::size_t good_needed = needed_bits / 61 + 1;
@@ -85,11 +68,8 @@ std::optional<std::vector<Rational>> solve_crt(const IntMatrix& a,
   std::vector<std::uint64_t> good_primes;
   std::vector<std::vector<std::uint64_t>> solutions;
   std::size_t bad = 0;
-  std::uint64_t cursor = (std::uint64_t{1} << 61) + 1;
-  while (good_primes.size() < good_needed) {
-    cursor = num::next_prime(cursor);
-    const std::uint64_t p = cursor;
-    cursor += 2;
+  for (std::size_t next = 0; good_primes.size() < good_needed; ++next) {
+    const std::uint64_t p = num::ladder_prime(next);
     const ModMatrix reduced = reduce_mod(a, p);
     if (det_mod_p(reduced, p) == 0) {
       if (++bad > max_bad) return std::nullopt;  // provably singular

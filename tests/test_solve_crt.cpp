@@ -1,6 +1,7 @@
 // Extended gcd, rational reconstruction, and the CRT exact solver.
 #include <gtest/gtest.h>
 
+#include "bigint/modular.hpp"
 #include "linalg/det.hpp"
 #include "linalg/rref.hpp"
 #include "linalg/solve_crt.hpp"
@@ -133,6 +134,20 @@ TEST(SolveCrt, SolutionIsExactRational) {
   const auto x = ccmx::la::solve_crt(a, {BigInt(1)});
   ASSERT_TRUE(x.has_value());
   EXPECT_EQ((*x)[0], Rational(BigInt(1), BigInt(2)));
+}
+
+TEST(SolveCrt, WideCoefficientDividedByLadderPrimes) {
+  // d x = 1 with d the product of the first three ladder primes (184
+  // bits).  Sizing the prime budget from entries capped at 62 bits
+  // allowed only two zero-determinant primes, so the third "proved" the
+  // system singular.
+  BigInt d(1);
+  for (std::size_t i = 0; i < 3; ++i) {
+    d *= BigInt(static_cast<std::int64_t>(ccmx::num::ladder_prime(i)));
+  }
+  const auto x = ccmx::la::solve_crt(IntMatrix{{d}}, {BigInt(1)});
+  ASSERT_TRUE(x.has_value());
+  EXPECT_EQ((*x)[0], Rational(BigInt(1), d));
 }
 
 }  // namespace

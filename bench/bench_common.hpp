@@ -5,7 +5,7 @@
 // section, and finally writes a machine-readable RunReport to
 // bench/out/BENCH_<name>.json (schema ccmx.run_report/1; see
 // docs/OBSERVABILITY.md).  All randomness is seeded, so tables reproduce
-// byte-for-byte; the JSON adds the timing/counter trajectory on top.
+// byte-for-byte; the JSON adds the timings and counters on top.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -110,11 +110,9 @@ inline std::string bench_name_from_argv0(std::string_view argv0) {
 /// Boilerplate main body: tables, timings, then the RunReport.
 inline int bench_main(int argc, char** argv, void (*print_tables)()) {
   const util::WallTimer timer;
-  // Open the perf fds (inherit=1 covers pool threads spawned later) and
-  // the optional telemetry sampler before any work runs.
+  // Open the perf fds before any work runs (inherit=1 covers pool
+  // threads spawned later).
   const obs::HwRegion process_hw;
-  obs::TelemetrySampler sampler;
-  sampler.start_from_env();
   // Sampling CPU profiler (CCMX_PROF_HZ / CCMX_PROF_FILE); degrades to
   // a reasoned no-op when unconfigured or unavailable.
   obs::profiler_start_from_env();
@@ -139,7 +137,6 @@ inline int bench_main(int argc, char** argv, void (*print_tables)()) {
   report.hw = process_hw.delta();
   report.benchmarks = reporter.runs();
   obs::profiler_stop();  // drain rings + ledger; folds obs.prof.* counters
-  sampler.stop();  // final timeseries row before the report is published
   obs::flush_thread();
   const std::string path =
       obs::write_run_report(report, obs::default_report_path(report.name));

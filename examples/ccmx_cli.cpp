@@ -13,14 +13,15 @@
 //
 // Build & run:  ./build/examples/ccmx_cli singularity 8 8
 //
-// Numeric arguments must be plain non-negative decimal integers, and k at
-// most 62; anything else prints an "error:" line and exits 2, like a usage
-// error.
+// Numeric arguments must be plain non-negative decimal integers, k at most
+// 62, and n small enough for the command to fit a 1 GiB memory budget;
+// anything else prints an "error:" line and exits 2, like a usage error.
 //
 // Observability: CCMX_TRACE=1 turns the obs counters on;
 // CCMX_REPORT=<path> writes a ccmx.run_report/1 JSON summary at exit
 // (see docs/OBSERVABILITY.md).
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -52,6 +53,45 @@ using namespace ccmx;
 
 /// Widest entry the bit layouts and the random draws support.
 constexpr std::uint64_t kMaxEntryBits = 62;
+
+/// Peak memory one run may plan for; n is checked against it before any
+/// allocation.
+constexpr double kMemoryBudgetBytes = 1024.0 * 1024.0 * 1024.0;
+
+/// Planned peak bytes of one run, 0 for an unknown command.  The
+/// constants are measured peak RSS over n² (x86-64, Release), rounded up:
+/// singularity and solvable hold the BigInt matrix plus send-half's
+/// per-input-bit bookkeeping (the partition's owner byte and both agents'
+/// owned-index lists, about 19 bytes for each of the k bits of an entry);
+/// solvable's exact check adds gcd-normalized rationals whose numerators
+/// and denominators grow to about n·(k + log2 n) bits.  hard works on a
+/// 2n x 2n matrix, rank on bordered n x n matrices, mesh on the n x n
+/// input plus one cell per entry.
+double peak_bytes(const std::string& cmd, double n, double k) {
+  if (cmd == "singularity") return n * n * (96 + 24 * k);
+  if (cmd == "solvable") {
+    return n * n * (96 + 24 * k) + n * n * n * (k + std::log2(n + 1)) / 4;
+  }
+  if (cmd == "hard") return n * n * 2048;
+  if (cmd == "rank") return n * n * 512;
+  if (cmd == "mesh") return n * n * 64;
+  return 0;
+}
+
+/// Largest n whose planned peak fits kMemoryBudgetBytes.
+std::uint64_t max_n(const std::string& cmd, double k) {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = std::uint64_t{1} << 32;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo + 1) / 2;
+    if (peak_bytes(cmd, static_cast<double>(mid), k) <= kMemoryBudgetBytes) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
 
 la::IntMatrix random_entries(std::size_t n, unsigned k,
                              util::Xoshiro256& rng) {
@@ -203,39 +243,27 @@ std::optional<std::uint64_t> parse_count(const char* name, const char* text) {
 int run_command(const std::string& cmd, std::size_t n, std::size_t arg3,
                 std::uint64_t seed) {
   // Root of the run's span tree: every protocol execution (comm.execute)
-  // and core-layer span nests under this in the JSONL trace.  The
-  // HwRegion attributes the command's hardware-counter delta to the root
-  // span (args stay absent on degraded machines, hw.available=false).
-  const obs::HwRegion hw;
+  // and core-layer span nests under this in the JSONL trace.
   obs::ScopedSpan span("cli." + cmd);
   span.arg("n", static_cast<std::uint64_t>(n));
   span.arg(cmd == "rank" ? "r" : "k", static_cast<std::uint64_t>(arg3));
-  const auto annotated = [&](int rc) {
-    obs::hw_annotate_span(span, hw.delta());
-    return rc;
-  };
   if (cmd == "singularity") {
-    return annotated(cmd_singularity(n, static_cast<unsigned>(arg3), seed));
+    return cmd_singularity(n, static_cast<unsigned>(arg3), seed);
   }
   if (cmd == "solvable") {
-    return annotated(cmd_solvable(n, static_cast<unsigned>(arg3), seed));
+    return cmd_solvable(n, static_cast<unsigned>(arg3), seed);
   }
-  if (cmd == "hard") {
-    return annotated(cmd_hard(n, static_cast<unsigned>(arg3), seed));
-  }
-  if (cmd == "rank") return annotated(cmd_rank(n, arg3, seed));
-  if (cmd == "mesh") {
-    return annotated(cmd_mesh(n, static_cast<unsigned>(arg3)));
-  }
+  if (cmd == "hard") return cmd_hard(n, static_cast<unsigned>(arg3), seed);
+  if (cmd == "rank") return cmd_rank(n, arg3, seed);
+  if (cmd == "mesh") return cmd_mesh(n, static_cast<unsigned>(arg3));
   usage();
   return 2;
 }
 
-/// Writes a ccmx.run_report/1 summary when CCMX_REPORT names a path.
-void maybe_write_report(int argc, char** argv, const util::WallTimer& timer,
-                        const obs::HwRegion& process_hw) {
-  const char* path = std::getenv("CCMX_REPORT");
-  if (path == nullptr || path[0] == '\0') return;
+/// Writes a ccmx.run_report/1 summary to `path` (CCMX_REPORT).
+void write_report(const char* path, int argc, char** argv,
+                  const util::WallTimer& timer,
+                  const obs::HwRegion& process_hw) {
   obs::RunReport report;
   report.name = "ccmx_cli";
   for (int i = 0; i < argc; ++i) report.argv.emplace_back(argv[i]);
@@ -267,16 +295,24 @@ int main(int argc, char** argv) {
               << argv[3] << "'\n";
     return 2;
   }
+  // Unknown commands (peak 0) fall through to the usage message.
+  if (const std::uint64_t limit = max_n(cmd, static_cast<double>(*arg3_arg));
+      peak_bytes(cmd, 1, 1) > 0 && *n_arg > limit) {
+    std::cerr << "error: n must be at most " << limit << " for " << cmd
+              << (cmd == "rank" ? "" : " with k = " + std::to_string(*arg3_arg))
+              << " to fit a 1 GiB memory budget, got '" << argv[2] << "'\n";
+    return 2;
+  }
   const std::size_t n = *n_arg;
   const std::size_t arg3 = *arg3_arg;
   const std::uint64_t seed = *seed_arg;
   const util::WallTimer timer;
-  // Process-wide hardware-counter window plus the background telemetry
-  // sampler (CCMX_SAMPLE_FILE / CCMX_SAMPLE_MS); both degrade to no-ops
-  // where perf_event_open is unavailable.
-  const obs::HwRegion process_hw;
-  obs::TelemetrySampler sampler;
-  sampler.start_from_env();
+  // Hardware counters only feed the run report, so the perf fds are
+  // opened (and an unavailable PMU reported) only when one is requested.
+  const char* report = std::getenv("CCMX_REPORT");
+  if (report != nullptr && report[0] == '\0') report = nullptr;
+  std::optional<obs::HwRegion> process_hw;
+  if (report != nullptr) process_hw.emplace();
   // Sampling CPU profiler (CCMX_PROF_HZ / CCMX_PROF_FILE); degrades to
   // a reasoned no-op when unconfigured or unavailable.
   obs::profiler_start_from_env();
@@ -289,12 +325,10 @@ int main(int argc, char** argv) {
   try {
     const int rc = run_command(cmd, n, arg3, seed);
     obs::profiler_stop();
-    sampler.stop();
-    maybe_write_report(argc, argv, timer, process_hw);
+    if (report != nullptr) write_report(report, argc, argv, timer, *process_hw);
     return rc;
   } catch (const std::exception& e) {
     obs::profiler_stop();
-    sampler.stop();
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }

@@ -68,12 +68,11 @@ const ModuleSpec* find_spec(std::string_view module) {
 
 /// The compile-out macro surface of obs: the only headers through which
 /// a lower layer may reach up into the instrumentation module.  All
-/// four stub to inline no-ops under -DCCMX_OBS=OFF, so the dependency
+/// three stub to inline no-ops under -DCCMX_OBS=OFF, so the dependency
 /// vanishes in an obs-free build — which is what makes it legal.
 bool is_macro_surface(std::string_view header_rel) {
   return header_rel == "src/obs/obs.hpp" ||
          header_rel == "src/obs/progress.hpp" ||
-         header_rel == "src/obs/hwcounters.hpp" ||
          header_rel == "src/obs/profiler.hpp";
 }
 

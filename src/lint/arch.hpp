@@ -15,7 +15,7 @@
 //                       math layers on purpose — instrumentation may
 //                       observe everything — and is reachable from below
 //                       ONLY through its compile-out macro surface
-//                       (obs/obs.hpp, obs/progress.hpp, obs/hwcounters.hpp,
+//                       (obs/obs.hpp, obs/progress.hpp, obs/profiler.hpp,
 //                       all of which stub to no-ops under -DCCMX_OBS=OFF).
 //   A3 undeclared-edge  every module→module edge must be in the declared
 //                       dependency list below — a downward include that

@@ -191,10 +191,6 @@ std::vector<std::string> load_report_file(const std::string& path,
   out.path = path;
   out.name = string_or(doc, "name", "");
   out.git_sha = string_or(doc, "git_sha", "unknown");
-  out.build_type = string_or(doc, "build_type", "unknown");
-  out.unix_time = static_cast<std::int64_t>(number_or(doc, "unix_time", 0.0));
-  out.wall_seconds = number_or(doc, "wall_seconds", 0.0);
-  out.cpu_seconds = number_or(doc, "cpu_seconds", 0.0);
   out.max_rss_bytes =
       static_cast<std::int64_t>(number_or(doc, "max_rss_bytes", 0.0));
   out.doc = std::move(doc);
@@ -723,280 +719,6 @@ std::vector<std::string> validate_bench_diff(const json::Value& doc) {
   if (const json::Value* probs = doc.find("problems");
       probs == nullptr || !probs->is_array()) {
     problems.emplace_back("missing array \"problems\"");
-  }
-  return problems;
-}
-
-TrajectoryAppend append_trajectory(const LoadResult& reports,
-                                   const std::string& trajectory_path) {
-  TrajectoryAppend result;
-  // Keys already on file: "name\nsha\nunix_time".  Unparseable lines are
-  // ignored here — the trajectory is an append-only log, and dedup only
-  // needs the keys it can read.
-  std::vector<std::string> seen;
-  {
-    std::ifstream in(trajectory_path);
-    (void)json::read_jsonl(in, [&](const json::Value& doc) {
-      seen.push_back(string_or(doc, "name", "") + '\n' +
-                     string_or(doc, "git_sha", "") + '\n' +
-                     fmt_num(number_or(doc, "unix_time", 0.0)));
-      return true;
-    });
-  }
-
-  const fs::path path(trajectory_path);
-  if (path.has_parent_path()) {
-    fs::create_directories(path.parent_path());
-  }
-  std::ofstream out(trajectory_path, std::ios::app);
-  CCMX_REQUIRE(out.is_open(),
-               "cannot open trajectory file: " + trajectory_path);
-  for (const LoadedReport& report : reports.reports) {
-    const std::string key = report.name + '\n' + report.git_sha + '\n' +
-                            fmt_num(static_cast<double>(report.unix_time));
-    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
-      ++result.skipped;
-      continue;
-    }
-    seen.push_back(key);
-    std::ostringstream os;
-    json::Writer w(os);
-    w.begin_object();
-    w.key("schema").value(kTrajectorySchema);
-    w.key("name").value(report.name);
-    w.key("git_sha").value(report.git_sha);
-    w.key("build_type").value(report.build_type);
-    w.key("unix_time").value(report.unix_time);
-    w.key("wall_seconds").value(report.wall_seconds);
-    w.key("cpu_seconds").value(report.cpu_seconds);
-    w.key("max_rss_bytes").value(report.max_rss_bytes);
-    w.key("benchmarks").begin_object();
-    for (const auto& [bench, row] : benchmark_map(report.doc)) {
-      w.key(bench).value(row.cpu_time);
-    }
-    w.end_object();
-    w.key("counters").begin_object();
-    for (const auto& [counter, value] : counter_map(report.doc)) {
-      w.key(counter).value(value);
-    }
-    w.end_object();
-    w.end_object();
-    out << os.str() << '\n';
-    ++result.appended;
-  }
-  out.flush();
-  CCMX_REQUIRE(out.good(), "trajectory append failed: " + trajectory_path);
-  return result;
-}
-
-TrajectorySeriesResult load_trajectory_series(
-    const std::string& trajectory_path) {
-  TrajectorySeriesResult result;
-  result.trajectory_path = trajectory_path;
-
-  // (report, benchmark) -> [(unix_time, cpu_time)].
-  std::map<std::pair<std::string, std::string>,
-           std::vector<std::pair<double, double>>>
-      series;
-  std::ifstream in(trajectory_path);
-  result.skipped += json::read_jsonl(in, [&](const json::Value& doc) {
-    const json::Value* benches = doc.find("benchmarks");
-    const std::string name = string_or(doc, "name", "");
-    if (string_or(doc, "schema", "") != kTrajectorySchema || name.empty() ||
-        benches == nullptr || !benches->is_object()) {
-      ++result.skipped;
-      return true;
-    }
-    ++result.rows;
-    const double t = number_or(doc, "unix_time", 0.0);
-    for (const auto& [bench, value] : benches->object) {
-      if (value.is_number()) {
-        series[{name, bench}].emplace_back(t, value.number);
-      }
-    }
-    return true;
-  });
-
-  for (auto& [key, points] : series) {
-    std::sort(points.begin(), points.end());
-    TrajectorySeries one;
-    one.report = key.first;
-    one.benchmark = key.second;
-    one.points = std::move(points);
-    result.series.push_back(std::move(one));
-  }
-  return result;  // std::map iteration already sorted by (report, benchmark)
-}
-
-TrendResult trend_from_trajectory(const std::string& trajectory_path,
-                                  std::size_t min_points) {
-  TrendResult result;
-  result.trajectory_path = trajectory_path;
-  result.min_points = min_points;
-
-  TrajectorySeriesResult loaded = load_trajectory_series(trajectory_path);
-  result.rows = loaded.rows;
-  result.skipped = loaded.skipped;
-
-  constexpr double kSecondsPerDay = 86400.0;
-  for (TrajectorySeries& one : loaded.series) {
-    const std::pair<std::string, std::string> key{one.report, one.benchmark};
-    std::vector<std::pair<double, double>>& points = one.points;
-    const double t_first = points.front().first;
-    const double t_last = points.back().first;
-    if (points.size() < min_points || t_last <= t_first) {
-      result.thin_series.push_back(key.first + "/" + key.second);
-      continue;
-    }
-    const double n = static_cast<double>(points.size());
-    double mean_t = 0.0;
-    double mean_y = 0.0;
-    for (const auto& [t, y] : points) {
-      mean_t += t;
-      mean_y += y;
-    }
-    mean_t /= n;
-    mean_y /= n;
-    double sxx = 0.0;
-    double sxy = 0.0;
-    double syy = 0.0;
-    for (const auto& [t, y] : points) {
-      const double dt = t - mean_t;
-      const double dy = y - mean_y;
-      sxx += dt * dt;
-      sxy += dt * dy;
-      syy += dy * dy;
-    }
-    TrendFit fit;
-    fit.report = key.first;
-    fit.benchmark = key.second;
-    fit.points = points.size();
-    fit.span_days = (t_last - t_first) / kSecondsPerDay;
-    fit.mean_cpu = mean_y;
-    fit.slope_per_day = (sxy / sxx) * kSecondsPerDay;  // sxx > 0: span > 0
-    fit.rel_slope_per_day = mean_y > 0.0 ? fit.slope_per_day / mean_y : 0.0;
-    // A flat series (syy == 0) is a perfect fit of a zero-slope line.
-    fit.r2 = syy > 0.0 ? (sxy * sxy) / (sxx * syy) : 1.0;
-    result.fits.push_back(std::move(fit));
-  }
-  std::sort(result.fits.begin(), result.fits.end(),
-            [](const TrendFit& a, const TrendFit& b) {
-              const double da = std::fabs(a.rel_slope_per_day);
-              const double db = std::fabs(b.rel_slope_per_day);
-              if (da != db) return da > db;
-              return std::tie(a.report, a.benchmark) <
-                     std::tie(b.report, b.benchmark);
-            });
-  return result;
-}
-
-std::string render_trend_json(const TrendResult& trend) {
-  std::ostringstream os;
-  json::Writer w(os);
-  w.begin_object();
-  w.key("schema").value(kTrendSchema);
-  w.key("trajectory").value(trend.trajectory_path);
-  w.key("rows").value(std::uint64_t{trend.rows});
-  w.key("skipped").value(std::uint64_t{trend.skipped});
-  w.key("min_points").value(std::uint64_t{trend.min_points});
-  w.key("fits").begin_array();
-  for (const TrendFit& fit : trend.fits) {
-    w.begin_object();
-    w.key("report").value(fit.report);
-    w.key("benchmark").value(fit.benchmark);
-    w.key("points").value(std::uint64_t{fit.points});
-    w.key("span_days").value(fit.span_days);
-    w.key("mean_cpu").value(fit.mean_cpu);
-    w.key("slope_per_day").value(fit.slope_per_day);
-    w.key("rel_slope_per_day").value(fit.rel_slope_per_day);
-    w.key("r2").value(fit.r2);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("thin_series").begin_array();
-  for (const std::string& name : trend.thin_series) w.value(name);
-  w.end_array();
-  w.end_object();
-  os << '\n';
-  return os.str();
-}
-
-std::string render_trend_markdown(const TrendResult& trend) {
-  std::ostringstream os;
-  os << "## cpu_time drift — " << trend.trajectory_path << "\n\n"
-     << trend.rows << " trajectory row(s), " << trend.fits.size()
-     << " fitted series, " << trend.thin_series.size() << " below "
-     << trend.min_points << " points\n\n";
-  if (!trend.fits.empty()) {
-    os << "| report | benchmark | points | span (d) | mean cpu | slope/day "
-          "| rel/day | r² |\n"
-       << "|---|---|---|---|---|---|---|---|\n";
-    for (const TrendFit& fit : trend.fits) {
-      os << "| " << fit.report << " | " << fit.benchmark << " | "
-         << fit.points << " | " << fmt_num(fit.span_days) << " | "
-         << fmt_num(fit.mean_cpu) << " | " << fmt_num(fit.slope_per_day)
-         << " | " << fmt_num(fit.rel_slope_per_day) << " | "
-         << fmt_num(fit.r2) << " |\n";
-    }
-  }
-  if (!trend.thin_series.empty()) {
-    os << "\nToo thin to fit: ";
-    for (std::size_t i = 0; i < trend.thin_series.size(); ++i) {
-      os << (i == 0 ? "" : ", ") << trend.thin_series[i];
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
-std::vector<std::string> validate_trend(const json::Value& doc) {
-  std::vector<std::string> problems;
-  if (!doc.is_object()) {
-    problems.emplace_back("document is not an object");
-    return problems;
-  }
-  const json::Value* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string()) {
-    problems.emplace_back("missing string \"schema\"");
-  } else if (schema->string != kTrendSchema) {
-    problems.push_back("schema is \"" + schema->string + "\", expected \"" +
-                       std::string(kTrendSchema) + "\"");
-  }
-  for (const char* key : {"rows", "skipped", "min_points"}) {
-    const json::Value* v = doc.find(key);
-    if (v == nullptr || !v->is_number()) {
-      problems.push_back(std::string("missing number \"") + key + "\"");
-    }
-  }
-  const json::Value* fits = doc.find("fits");
-  if (fits == nullptr || !fits->is_array()) {
-    problems.emplace_back("missing array \"fits\"");
-  } else {
-    for (std::size_t i = 0; i < fits->array.size(); ++i) {
-      const json::Value& fit = fits->array[i];
-      const std::string where = "fits[" + std::to_string(i) + "]";
-      if (!fit.is_object()) {
-        problems.push_back(where + " is not an object");
-        continue;
-      }
-      for (const char* key : {"report", "benchmark"}) {
-        const json::Value* v = fit.find(key);
-        if (v == nullptr || !v->is_string()) {
-          problems.push_back(where + " missing string \"" + key + "\"");
-        }
-      }
-      for (const char* key : {"points", "span_days", "mean_cpu",
-                              "slope_per_day", "rel_slope_per_day", "r2"}) {
-        const json::Value* v = fit.find(key);
-        if (v == nullptr || !v->is_number()) {
-          problems.push_back(where + " missing number \"" + key + "\"");
-        }
-      }
-    }
-  }
-  if (const json::Value* thin = doc.find("thin_series");
-      thin == nullptr || !thin->is_array()) {
-    problems.emplace_back("missing array \"thin_series\"");
   }
   return problems;
 }

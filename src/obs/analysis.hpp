@@ -5,10 +5,8 @@
 // into validated documents, diff_reports() compares two such directories
 // benchmark-by-benchmark and counter-by-counter with noise-aware
 // thresholds (relative tolerance plus a minimum-iterations gate, so a
-// 2-iteration timing can never fail a CI run), and append_trajectory()
-// accumulates one JSONL line per report in bench/out/trajectory.jsonl so
-// the repo finally has a perf trajectory.  The diff is emitted both as
-// machine-readable ccmx.bench_diff/1 JSON (validated by
+// 2-iteration timing can never fail a CI run).  The diff is emitted both
+// as machine-readable ccmx.bench_diff/1 JSON (validated by
 // validate_bench_diff, gating CI) and as a human markdown summary.
 #pragma once
 
@@ -22,16 +20,12 @@
 namespace ccmx::obs {
 
 /// One validated ccmx.run_report/1 document plus the identity fields the
-/// differ and the trajectory need (pre-extracted so callers do not have
-/// to walk the DOM again).
+/// differ needs (pre-extracted so callers do not have to walk the DOM
+/// again).
 struct LoadedReport {
   std::string path;        // file it came from
   std::string name;        // report "name" ("exact_cc", "ccmx_cli", ...)
   std::string git_sha;
-  std::string build_type;
-  std::int64_t unix_time = 0;
-  double wall_seconds = 0.0;
-  double cpu_seconds = 0.0;
   std::int64_t max_rss_bytes = 0;  // 0 when the report predates the field
   json::Value doc;
 };
@@ -177,82 +171,5 @@ struct BenchDiff {
 /// Schema check for a parsed ccmx.bench_diff/1 document; empty = valid.
 [[nodiscard]] std::vector<std::string> validate_bench_diff(
     const json::Value& doc);
-
-struct TrajectoryAppend {
-  std::size_t appended = 0;
-  std::size_t skipped = 0;  // already present (same name+git_sha+unix_time)
-};
-
-/// Appends one ccmx.trajectory/1 JSONL line per report to
-/// `trajectory_path` (created along with parent directories when absent).
-/// Idempotent: a report whose (name, git_sha, unix_time) already appears
-/// in the file is skipped, so re-running the tool cannot duplicate rows.
-TrajectoryAppend append_trajectory(const LoadResult& reports,
-                                   const std::string& trajectory_path);
-
-/// One (report, benchmark) cpu_time series extracted from a
-/// ccmx.trajectory/1 JSONL file — the raw points behind the trend fits.
-struct TrajectorySeries {
-  std::string report;     // trajectory row "name" (e.g. "exact_cc")
-  std::string benchmark;  // e.g. "BM_ExactCcEquality/3"
-  /// (unix_time, cpu_time) sorted by time.
-  std::vector<std::pair<double, double>> points;
-};
-
-struct TrajectorySeriesResult {
-  std::string trajectory_path;
-  std::size_t rows = 0;     // trajectory rows consumed
-  std::size_t skipped = 0;  // unparseable or foreign-schema lines
-  /// Sorted by (report, benchmark).
-  std::vector<TrajectorySeries> series;
-};
-
-/// Extracts every per-benchmark cpu_time series from a trajectory file.
-/// Malformed or foreign-schema lines are counted, not fatal; a missing
-/// file yields an empty result.  trend_from_trajectory() builds on this.
-[[nodiscard]] TrajectorySeriesResult load_trajectory_series(
-    const std::string& trajectory_path);
-
-/// Least-squares drift of one benchmark's cpu_time across the trajectory:
-/// cpu_time ~ a + b * t fitted over every trajectory row that carries the
-/// benchmark, with b rescaled to per-day units.
-struct TrendFit {
-  std::string report;     // trajectory row "name" (e.g. "exact_cc")
-  std::string benchmark;  // e.g. "BM_ExactCcEquality/3"
-  std::size_t points = 0;
-  double span_days = 0.0;          // last - first unix_time
-  double mean_cpu = 0.0;           // mean cpu_time over the points
-  double slope_per_day = 0.0;      // cpu_time units gained per day
-  double rel_slope_per_day = 0.0;  // slope_per_day / mean_cpu
-  double r2 = 0.0;                 // goodness of the linear fit in [0, 1]
-};
-
-struct TrendResult {
-  std::string trajectory_path;
-  std::size_t rows = 0;     // trajectory rows consumed
-  std::size_t skipped = 0;  // unparseable or foreign-schema lines
-  std::size_t min_points = 0;
-  /// Sorted by |rel_slope_per_day| descending — worst drift first.
-  std::vector<TrendFit> fits;
-  /// Series dropped for having fewer than min_points rows ("report/bench").
-  std::vector<std::string> thin_series;
-};
-
-/// Fits every (report, benchmark) cpu_time series in a ccmx.trajectory/1
-/// JSONL file.  Series with fewer than `min_points` rows, or spanning a
-/// single instant, are listed in `thin_series` instead of fitted — two
-/// commits cannot distinguish drift from noise.  A missing file yields an
-/// empty result.
-[[nodiscard]] TrendResult trend_from_trajectory(
-    const std::string& trajectory_path, std::size_t min_points = 3);
-
-/// ccmx.trend/1 JSON document (one object, trailing newline).
-[[nodiscard]] std::string render_trend_json(const TrendResult& trend);
-
-/// Human summary (GitHub-flavored markdown table, worst drift first).
-[[nodiscard]] std::string render_trend_markdown(const TrendResult& trend);
-
-/// Schema check for a parsed ccmx.trend/1 document; empty = valid.
-[[nodiscard]] std::vector<std::string> validate_trend(const json::Value& doc);
 
 }  // namespace ccmx::obs

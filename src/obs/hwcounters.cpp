@@ -2,30 +2,18 @@
 
 #ifndef CCMX_OBS_DISABLED
 
-#include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <mutex>
-#include <sstream>
-#include <thread>
-#include <vector>
 
-#include "obs/json.hpp"
-#include "obs/schemas.hpp"
 #include "util/narrow.hpp"
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
 #include <sys/syscall.h>
-#include <unistd.h>
-#elif defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
 #include <unistd.h>
 #endif
 
@@ -216,88 +204,6 @@ const HwState& probed_state() {
   return state;
 }
 
-// ------------------------------------------------- /proc self sampling
-
-struct ProcSample {
-  std::int64_t rss_bytes = 0;
-  double utime_seconds = 0.0;
-  double stime_seconds = 0.0;
-  std::uint64_t minor_faults = 0;
-  std::uint64_t major_faults = 0;
-};
-
-#if defined(__linux__)
-
-ProcSample read_proc_self() {
-  ProcSample sample;
-  {
-    // /proc/self/statm: size resident shared ... (pages).
-    std::ifstream in("/proc/self/statm");
-    std::uint64_t size_pages = 0;
-    std::uint64_t resident_pages = 0;
-    if (in >> size_pages >> resident_pages) {
-      const long page = ::sysconf(_SC_PAGESIZE);
-      sample.rss_bytes = static_cast<std::int64_t>(resident_pages) *
-                         (page > 0 ? page : 4096);
-    }
-  }
-  {
-    // /proc/self/stat: "pid (comm) state ppid ...".  comm may contain
-    // spaces, so split after the last ')'; field N (1-based, N >= 3) is
-    // then token N-3 of the remainder.
-    std::ifstream in("/proc/self/stat");
-    std::string line;
-    std::getline(in, line);
-    const std::size_t close = line.rfind(')');
-    if (close != std::string::npos) {
-      std::istringstream rest(line.substr(close + 1));
-      std::vector<std::string> tokens;
-      std::string token;
-      while (rest >> token && tokens.size() < 16) tokens.push_back(token);
-      const long ticks = ::sysconf(_SC_CLK_TCK);
-      const double tick_hz = ticks > 0 ? static_cast<double>(ticks) : 100.0;
-      const auto field = [&](std::size_t n) -> std::uint64_t {
-        // n is the 1-based field number from proc(5).
-        return n - 3 < tokens.size()
-                   ? std::strtoull(tokens[n - 3].c_str(), nullptr, 10)
-                   : 0;
-      };
-      sample.minor_faults = field(10);
-      sample.major_faults = field(12);
-      sample.utime_seconds = static_cast<double>(field(14)) / tick_hz;
-      sample.stime_seconds = static_cast<double>(field(15)) / tick_hz;
-    }
-  }
-  return sample;
-}
-
-#elif defined(__unix__) || defined(__APPLE__)
-
-ProcSample read_proc_self() {
-  ProcSample sample;
-  struct rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) {
-#if defined(__APPLE__)
-    sample.rss_bytes = static_cast<std::int64_t>(usage.ru_maxrss);
-#else
-    sample.rss_bytes = static_cast<std::int64_t>(usage.ru_maxrss) * 1024;
-#endif
-    sample.utime_seconds = static_cast<double>(usage.ru_utime.tv_sec) +
-                           static_cast<double>(usage.ru_utime.tv_usec) / 1e6;
-    sample.stime_seconds = static_cast<double>(usage.ru_stime.tv_sec) +
-                           static_cast<double>(usage.ru_stime.tv_usec) / 1e6;
-    sample.minor_faults = static_cast<std::uint64_t>(usage.ru_minflt);
-    sample.major_faults = static_cast<std::uint64_t>(usage.ru_majflt);
-  }
-  return sample;
-}
-
-#else
-
-ProcSample read_proc_self() { return {}; }
-
-#endif
-
 }  // namespace
 
 // ---------------------------------------------------------- public api
@@ -323,18 +229,6 @@ HwCounters hw_read() noexcept {
   return counters;
 }
 
-void hw_annotate_span(ScopedSpan& span, const HwCounters& delta) {
-  if (!delta.available) {
-    span.arg("hw.available", "false");
-    return;
-  }
-  span.arg("hw.instructions", delta.instructions);
-  span.arg("hw.cycles", delta.cycles);
-  span.arg("hw.cache_misses", delta.cache_misses);
-  span.arg("hw.branch_misses", delta.branch_misses);
-  span.arg("hw.task_clock_ns", delta.task_clock_ns);
-}
-
 void hw_reset_for_testing() noexcept {
   std::scoped_lock lock(hw_mutex());
   HwState& state = hw_state();
@@ -351,154 +245,6 @@ void hw_force_unavailable_for_testing(std::string_view reason) {
   state.probed = true;
   state.available = false;
   state.reason = std::string(reason);
-}
-
-// ----------------------------------------------------------- sampler
-
-struct TelemetrySampler::Impl {
-  std::ofstream out;
-  std::chrono::milliseconds interval{100};
-  std::mutex mutex;  // serializes the tick loop with stop()'s final row
-  std::condition_variable_any cv;
-  std::jthread thread;
-  std::atomic<bool> running{false};
-  std::atomic<std::uint64_t> rows{0};
-
-  std::uint64_t seq = 0;
-  std::int64_t last_t_us = 0;
-  HwCounters last_hw;
-  std::map<std::string, std::uint64_t> last_counters;
-
-  void write_row() {
-    const std::int64_t t = now_us();
-    const ProcSample proc = read_proc_self();
-    const HwCounters hw_now = hw_read();
-    const HwCounters hw = hw_delta(last_hw, hw_now);
-    last_hw = hw_now;
-
-    std::map<std::string, std::uint64_t> counters;
-    for (const auto& [name, value] : snapshot().counters) {
-      counters[name] = value;
-    }
-
-    std::ostringstream os;
-    json::Writer w(os);
-    w.begin_object();
-    w.key("schema").value(kTimeseriesSchema);
-    w.key("seq").value(seq);
-    w.key("t_us").value(t);
-    w.key("dt_us").value(t - last_t_us);
-    w.key("rss_bytes").value(proc.rss_bytes);
-    w.key("utime_s").value(proc.utime_seconds);
-    w.key("stime_s").value(proc.stime_seconds);
-    w.key("minor_faults").value(proc.minor_faults);
-    w.key("major_faults").value(proc.major_faults);
-    // obs counter deltas over the interval; only counters that moved,
-    // so idle rows stay small.
-    w.key("counters").begin_object();
-    for (const auto& [name, value] : counters) {
-      const auto last = last_counters.find(name);
-      const std::uint64_t before =
-          last == last_counters.end() ? 0 : last->second;
-      if (value > before) w.key(name).value(value - before);
-    }
-    w.end_object();
-    w.key("hw").begin_object();
-    w.key("available").value(hw.available);
-    if (hw.available) {
-      w.key("instructions").value(hw.instructions);
-      w.key("cycles").value(hw.cycles);
-      w.key("ipc").value(hw.ipc());
-      w.key("cache_references").value(hw.cache_references);
-      w.key("cache_misses").value(hw.cache_misses);
-      w.key("cache_miss_rate").value(hw.cache_miss_rate());
-      w.key("branches").value(hw.branches);
-      w.key("branch_misses").value(hw.branch_misses);
-      w.key("task_clock_ns").value(hw.task_clock_ns);
-    }
-    w.end_object();
-    w.end_object();
-    out << os.str() << '\n';
-    out.flush();  // rows are rare; keep the file tail-able
-
-    last_counters = std::move(counters);
-    last_t_us = t;
-    ++seq;
-    rows.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void run(std::stop_token st) {
-    std::unique_lock lock(mutex);
-    while (true) {
-      cv.wait_for(lock, st, interval, [&] { return st.stop_requested(); });
-      if (st.stop_requested()) return;
-      write_row();
-    }
-  }
-};
-
-TelemetrySampler::TelemetrySampler() : impl_(std::make_unique<Impl>()) {}
-
-TelemetrySampler::~TelemetrySampler() { stop(); }
-
-bool TelemetrySampler::start(const SamplerOptions& options) {
-  if (impl_->running.load()) {
-    std::fprintf(stderr, "ccmx: telemetry sampler already running\n");
-    return false;
-  }
-  impl_->out.open(options.path, std::ios::trunc | std::ios::binary);
-  if (!impl_->out.is_open()) {
-    std::fprintf(stderr, "ccmx: cannot open telemetry file: %s\n",
-                 options.path.c_str());
-    return false;
-  }
-  impl_->interval =
-      std::chrono::milliseconds(options.interval_ms < 1 ? 1
-                                                        : options.interval_ms);
-  impl_->seq = 0;
-  impl_->rows.store(0, std::memory_order_relaxed);
-  impl_->last_t_us = now_us();
-  impl_->last_hw = hw_read();
-  impl_->last_counters.clear();
-  for (const auto& [name, value] : snapshot().counters) {
-    impl_->last_counters[name] = value;
-  }
-  impl_->running.store(true);
-  impl_->thread =
-      std::jthread([impl = impl_.get()](std::stop_token st) { impl->run(st); });
-  return true;
-}
-
-bool TelemetrySampler::start_from_env() {
-  const char* path = std::getenv("CCMX_SAMPLE_FILE");
-  if (path == nullptr || path[0] == '\0') return false;
-  SamplerOptions options;
-  options.path = path;
-  if (const char* ms = std::getenv("CCMX_SAMPLE_MS")) {
-    const long long parsed = std::strtoll(ms, nullptr, 10);
-    if (parsed > 0) options.interval_ms = parsed;
-  }
-  return start(options);
-}
-
-void TelemetrySampler::stop() {
-  if (!impl_->running.exchange(false)) return;
-  impl_->thread.request_stop();
-  impl_->cv.notify_all();
-  impl_->thread.join();
-  // Final row after the join: even a run shorter than one interval gets
-  // a usable series, and the row covers the tail of the run.
-  impl_->write_row();
-  impl_->out.flush();
-  impl_->out.close();
-}
-
-bool TelemetrySampler::running() const noexcept {
-  return impl_->running.load();
-}
-
-std::uint64_t TelemetrySampler::rows_written() const noexcept {
-  return impl_->rows.load(std::memory_order_relaxed);
 }
 
 }  // namespace ccmx::obs

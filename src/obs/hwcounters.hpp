@@ -1,4 +1,4 @@
-// Hardware-counter attribution and the background telemetry sampler.
+// Hardware counters for run reports.
 //
 // Why: every perf claim in this repo rests on cpu_time, which is noisy on
 // shared CI runners (the regression gate needs a ±50% tolerance there).
@@ -21,21 +21,17 @@
 // every snapshot carries available=false so downstream consumers render
 // "unavailable" instead of zeros.
 //
-// TelemetrySampler is a background std::jthread (same shape as the trace
-// drainer: stop_token, explicit lifecycle) that appends one
-// ccmx.timeseries/1 JSONL row every CCMX_SAMPLE_MS: RSS and utime/stime
-// from /proc/self, obs counter deltas, and hw deltas over the interval.
+// The only consumer is obs/report: the process delta and the
+// per-benchmark rows of a run report, which the `ccmx_insight diff`
+// instruction gate reads back.
 //
 // Defining CCMX_OBS_DISABLED (CMake CCMX_OBS=OFF) compiles all of this
 // down to inline no-ops, like the rest of the obs layer.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
-
-#include "obs/obs.hpp"
 
 namespace ccmx::obs {
 
@@ -95,14 +91,6 @@ struct HwCounters {
   return d;
 }
 
-/// Explicit sampler configuration (CLIs and tests; normal runs configure
-/// through CCMX_SAMPLE_FILE / CCMX_SAMPLE_MS instead).
-struct SamplerOptions {
-  std::string path;
-  /// Milliseconds between rows; values below 1 are clamped to 1.
-  std::int64_t interval_ms = 100;
-};
-
 #ifndef CCMX_OBS_DISABLED
 
 /// True when the perf counter set is open and counting.  The first call
@@ -136,52 +124,12 @@ class HwRegion {
   HwCounters start_;
 };
 
-/// Attaches a delta's headline numbers to a span as args
-/// ("hw.instructions", "hw.cycles", "hw.cache_misses", "hw.branch_misses",
-/// "hw.task_clock_ns").  Emits "hw.available"="false" instead when the
-/// delta is degraded, so traces never show silent zeros.
-void hw_annotate_span(ScopedSpan& span, const HwCounters& delta);
-
 /// Test hooks.  hw_reset_for_testing() closes the fds and forgets the
 /// probe result so the next hw_available() re-reads the environment;
 /// hw_force_unavailable_for_testing() latches the degraded mode with a
 /// given reason (simulating EPERM without needing a locked-down kernel).
 void hw_reset_for_testing() noexcept;
 void hw_force_unavailable_for_testing(std::string_view reason);
-
-/// Background telemetry sampler.  start() spawns a std::jthread that
-/// appends one ccmx.timeseries/1 JSONL row to the file every interval
-/// and a final row at stop(), so even a run shorter than one interval
-/// produces a usable series.  stop() is idempotent and implied by the
-/// destructor; start() while running is refused.
-class TelemetrySampler {
- public:
-  TelemetrySampler();
-  ~TelemetrySampler();
-
-  TelemetrySampler(const TelemetrySampler&) = delete;
-  TelemetrySampler& operator=(const TelemetrySampler&) = delete;
-
-  /// False (with a one-line stderr diagnostic) when the file cannot be
-  /// opened or the sampler is already running.
-  bool start(const SamplerOptions& options);
-
-  /// Reads CCMX_SAMPLE_FILE (+ CCMX_SAMPLE_MS, default 100); false
-  /// without starting when CCMX_SAMPLE_FILE is unset or empty.
-  bool start_from_env();
-
-  /// Writes the final row, joins the thread, flushes, and closes.
-  void stop();
-
-  [[nodiscard]] bool running() const noexcept;
-
-  /// Rows written so far (final row included after stop()); for tests.
-  [[nodiscard]] std::uint64_t rows_written() const noexcept;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 #else  // CCMX_OBS_DISABLED: inline no-ops, like the rest of the layer.
 
@@ -198,19 +146,8 @@ class HwRegion {
   [[nodiscard]] HwCounters delta() const noexcept { return {}; }
 };
 
-inline void hw_annotate_span(ScopedSpan&, const HwCounters&) {}
 inline void hw_reset_for_testing() noexcept {}
 inline void hw_force_unavailable_for_testing(std::string_view) {}
-
-class TelemetrySampler {
- public:
-  TelemetrySampler() = default;
-  bool start(const SamplerOptions&) { return false; }
-  bool start_from_env() { return false; }
-  void stop() {}
-  [[nodiscard]] bool running() const noexcept { return false; }
-  [[nodiscard]] std::uint64_t rows_written() const noexcept { return 0; }
-};
 
 #endif  // CCMX_OBS_DISABLED
 

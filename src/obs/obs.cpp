@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -20,6 +19,7 @@
 #include <unordered_map>
 
 #include "obs/json.hpp"
+#include "util/env.hpp"
 #include "util/narrow.hpp"
 #include "util/require.hpp"
 
@@ -489,22 +489,8 @@ TracePolicy policy_from_env() noexcept {
 }
 
 std::size_t capacity_from_env() noexcept {
-  const char* raw = std::getenv("CCMX_TRACE_BUFFER");
-  if (raw == nullptr || raw[0] == '\0') return 0;  // pick the default
-  // from_chars, unlike strtoull, takes no sign ("-1" would wrap to a
-  // ring that never fills) and reports where the digits stop.
-  const std::string_view v(raw);
-  std::size_t capacity = 0;
-  const auto [end, ec] =
-      std::from_chars(v.data(), v.data() + v.size(), capacity);
-  if (ec == std::errc{} && end == v.data() + v.size() && capacity > 0) {
-    return capacity;
-  }
-  std::fprintf(stderr,
-               "ccmx: ignoring CCMX_TRACE_BUFFER='%s' (expected a positive "
-               "event count); using %zu\n",
-               raw, kDefaultRingCapacity);
-  return 0;
+  return util::env_uint("CCMX_TRACE_BUFFER", 1, UINT64_MAX,
+                        kDefaultRingCapacity, "a positive event count");
 }
 
 /// Opens the sink; reg.trace_mu must be held by the caller.  On failure
@@ -599,15 +585,8 @@ std::uint64_t next_span_id() noexcept {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool env_truthy(const char* name) noexcept {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return false;
-  const std::string_view v(raw);
-  return v != "0" && v != "false" && v != "off" && v != "no";
-}
-
 std::atomic<bool>& enabled_flag() noexcept {
-  static std::atomic<bool> flag{env_truthy("CCMX_TRACE") ||
+  static std::atomic<bool> flag{util::env_truthy("CCMX_TRACE") ||
                                 std::getenv("CCMX_TRACE_FILE") != nullptr};
   return flag;
 }

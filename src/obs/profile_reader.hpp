@@ -8,7 +8,7 @@
 // conservation invariant — captured == written + dropped — proves no
 // sample went missing unaccounted.
 //
-// Loading is tolerant, like load_timeseries: a torn final line (killed
+// Loading is tolerant (json::read_jsonl): a torn final line (killed
 // process) or foreign line is skipped and counted, and structural
 // problems (unopenable file, wrong schema, missing ledger) land in
 // `problems` instead of throwing — the analysis CLI renders partial

@@ -1,28 +1,19 @@
 #include "obs/progress.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
 #include "obs/obs.hpp"
+#include "util/env.hpp"
 
 namespace ccmx::obs {
 
 namespace {
 
-bool progress_env_on() noexcept {
-  const char* raw = std::getenv("CCMX_PROGRESS");
-  if (raw == nullptr || raw[0] == '\0') return false;
-  const std::string_view v(raw);
-  return v != "0" && v != "false" && v != "off" && v != "no";
-}
-
 std::int64_t interval_from_env() noexcept {
-  if (const char* raw = std::getenv("CCMX_PROGRESS_MS")) {
-    const long ms = std::strtol(raw, nullptr, 10);
-    if (ms > 0) return static_cast<std::int64_t>(ms) * 1000;
-  }
-  return 500000;  // 500 ms
+  // Capped so the microsecond product stays far inside int64.
+  const std::uint64_t ms = util::env_uint("CCMX_PROGRESS_MS", 1, 1'000'000'000,
+                                          500, "a positive millisecond count");
+  return static_cast<std::int64_t>(ms) * 1000;
 }
 
 /// "1.23e+07/s" style rate without iostream locale surprises.
@@ -38,7 +29,7 @@ void format_rate(char* buf, std::size_t len, double per_second) {
 
 ProgressMeter::ProgressMeter(std::string label, std::uint64_t total)
     : label_(std::move(label)), total_(total) {
-  active_ = progress_env_on() || enabled();
+  active_ = util::env_truthy("CCMX_PROGRESS") || enabled();
   if (!active_) return;
   start_us_ = now_us();
   interval_us_ = interval_from_env();

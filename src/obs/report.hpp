@@ -5,9 +5,9 @@
 // type, hardware parallelism), wall/CPU seconds, the google-benchmark
 // timing rows, and whatever the obs registry accumulated (counters,
 // histogram summaries, attributes).  Reports land in bench/out/
-// (override with CCMX_BENCH_OUT) as BENCH_<name>.json and form the
-// repo's perf trajectory; validate_run_report() is the schema check the
-// tests and CI run against them.
+// (override with CCMX_BENCH_OUT) as BENCH_<name>.json, which the
+// `ccmx_insight diff` gate compares; validate_run_report() is the schema
+// check the tests and CI run against them.
 #pragma once
 
 #include <cstdint>

@@ -23,14 +23,6 @@ inline constexpr std::string_view kRunReportSchema = "ccmx.run_report/1";
 /// perf gate artifact (see obs/analysis.hpp).
 inline constexpr std::string_view kBenchDiffSchema = "ccmx.bench_diff/1";
 
-/// One JSONL line per run report, accumulated across commits in
-/// bench/out/trajectory.jsonl (see obs/analysis.hpp).
-inline constexpr std::string_view kTrajectorySchema = "ccmx.trajectory/1";
-
-/// Least-squares drift fit of per-benchmark cpu_time across the
-/// trajectory — `ccmx_insight trend` (see obs/analysis.hpp).
-inline constexpr std::string_view kTrendSchema = "ccmx.trend/1";
-
 /// Findings of the project-invariant static-analysis pass — `ccmx_lint`
 /// (see lint/lint.hpp).
 inline constexpr std::string_view kLintReportSchema = "ccmx.lint_report/1";
@@ -46,16 +38,6 @@ inline constexpr std::string_view kArchReportSchema = "ccmx.arch_report/1";
 /// extra top-level key (Perfetto ignores keys it does not know).
 inline constexpr std::string_view kChromeTraceSchema = "ccmx.chrome_trace/1";
 
-/// One JSONL row per sampler tick — RSS, utime/stime, obs counter
-/// deltas, and hardware-counter deltas over the interval, written by the
-/// background telemetry sampler (see obs/hwcounters.hpp).
-inline constexpr std::string_view kTimeseriesSchema = "ccmx.timeseries/1";
-
-/// Whole-series rollup of a timeseries file — `ccmx_insight timeseries
-/// --json` (sample count, wall span, RSS range, aggregate IPC).
-inline constexpr std::string_view kTimeseriesSummarySchema =
-    "ccmx.timeseries_summary/1";
-
 /// JSONL stream of the sampling CPU profiler (see obs/profiler.hpp):
 /// a "meta" row, interned "frame" rows, leaf-first "sample" rows
 /// referencing frames by id, and a closing "ledger" row whose
@@ -65,10 +47,8 @@ inline constexpr std::string_view kProfileSchema = "ccmx.profile/1";
 /// Every schema id this repo may stamp into a document, for validators
 /// that only need to know "is this one of ours".
 inline constexpr std::string_view kRegisteredSchemas[] = {
-    kRunReportSchema,     kBenchDiffSchema,  kTrajectorySchema,
-    kTrendSchema,         kLintReportSchema, kArchReportSchema,
-    kChromeTraceSchema,   kTimeseriesSchema, kTimeseriesSummarySchema,
-    kProfileSchema,
+    kRunReportSchema,  kBenchDiffSchema,   kLintReportSchema,
+    kArchReportSchema, kChromeTraceSchema, kProfileSchema,
 };
 
 [[nodiscard]] constexpr bool is_registered_schema(

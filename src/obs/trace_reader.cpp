@@ -700,75 +700,4 @@ PowerLawFit fit_power_law(const std::vector<std::pair<double, double>>& xy) {
   return fit;
 }
 
-namespace {
-
-double ts_number(const json::Value& obj, std::string_view key) {
-  const json::Value* v = obj.find(key);
-  return v != nullptr && v->is_number() ? v->number : 0.0;
-}
-
-std::uint64_t ts_u64(const json::Value& obj, std::string_view key) {
-  const double v = ts_number(obj, key);
-  return v > 0.0 ? static_cast<std::uint64_t>(v) : 0;
-}
-
-}  // namespace
-
-TimeseriesResult load_timeseries(const std::string& path) {
-  TimeseriesResult result;
-  result.path = path;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    result.problems.push_back(path + ": cannot open");
-    return result;
-  }
-  // A torn final line is the signature of a killed sampler.
-  result.skipped += json::read_jsonl(in, [&](const json::Value& doc) {
-    const json::Value* schema = doc.find("schema");
-    if (schema == nullptr || !schema->is_string() ||
-        schema->string != kTimeseriesSchema) {
-      ++result.skipped;
-      return true;
-    }
-    TimeseriesRow row;
-    row.seq = ts_u64(doc, "seq");
-    row.t_us = static_cast<std::int64_t>(ts_number(doc, "t_us"));
-    row.dt_us = static_cast<std::int64_t>(ts_number(doc, "dt_us"));
-    row.rss_bytes = static_cast<std::int64_t>(ts_number(doc, "rss_bytes"));
-    row.utime_s = ts_number(doc, "utime_s");
-    row.stime_s = ts_number(doc, "stime_s");
-    row.minor_faults = ts_u64(doc, "minor_faults");
-    row.major_faults = ts_u64(doc, "major_faults");
-    if (const json::Value* counters = doc.find("counters");
-        counters != nullptr && counters->is_object()) {
-      for (const auto& [name, value] : counters->object) {
-        if (value.is_number() && value.number > 0.0) {
-          row.counters.emplace_back(
-              name, static_cast<std::uint64_t>(value.number));
-        }
-      }
-    }
-    if (const json::Value* hw = doc.find("hw");
-        hw != nullptr && hw->is_object()) {
-      const json::Value* avail = hw->find("available");
-      row.hw_available =
-          avail != nullptr && avail->is_bool() && avail->boolean;
-      if (row.hw_available) {
-        row.instructions = ts_u64(*hw, "instructions");
-        row.cycles = ts_u64(*hw, "cycles");
-        row.ipc = ts_number(*hw, "ipc");
-        row.cache_miss_rate = ts_number(*hw, "cache_miss_rate");
-        row.task_clock_ns = ts_u64(*hw, "task_clock_ns");
-      }
-    }
-    if (!result.rows.empty() && row.t_us < result.rows.back().t_us) {
-      result.problems.push_back(
-          path + ": rows out of order at seq " + std::to_string(row.seq));
-    }
-    result.rows.push_back(std::move(row));
-    return true;
-  });
-  return result;
-}
-
 }  // namespace ccmx::obs

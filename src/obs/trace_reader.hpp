@@ -204,56 +204,6 @@ class TraceStream {
   bool finished_ = false;
 };
 
-// -------------------------------------------------- telemetry timeseries
-
-/// One parsed ccmx.timeseries/1 row (see obs/hwcounters.hpp for the
-/// writer).  rss/utime/stime are cumulative at the sample instant; the
-/// hw numbers and counter deltas cover the interval since the previous
-/// row (dt_us).
-struct TimeseriesRow {
-  std::uint64_t seq = 0;
-  std::int64_t t_us = 0;
-  std::int64_t dt_us = 0;
-  std::int64_t rss_bytes = 0;
-  double utime_s = 0.0;
-  double stime_s = 0.0;
-  std::uint64_t minor_faults = 0;
-  std::uint64_t major_faults = 0;
-  /// obs counter deltas over the interval (only counters that moved).
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  bool hw_available = false;
-  std::uint64_t instructions = 0;
-  std::uint64_t cycles = 0;
-  double ipc = 0.0;
-  double cache_miss_rate = 0.0;
-  std::uint64_t task_clock_ns = 0;
-};
-
-/// A loaded telemetry series.  Foreign-schema or unparseable lines are
-/// counted in `skipped`, structural issues (unreadable file, rows out of
-/// order) land in `problems` — tolerant by design, since a sampler can
-/// be killed mid-row.
-struct TimeseriesResult {
-  std::string path;
-  std::vector<TimeseriesRow> rows;
-  std::size_t skipped = 0;
-  std::vector<std::string> problems;
-
-  /// Wall-clock span covered by the rows, in seconds (0 for < 2 rows).
-  [[nodiscard]] double span_seconds() const noexcept {
-    return rows.size() < 2 ? 0.0
-                           : static_cast<double>(rows.back().t_us -
-                                                 rows.front().t_us) /
-                                 1e6;
-  }
-};
-
-/// Loads a ccmx.timeseries/1 JSONL file.  A missing file is a problem
-/// (callers asked for this path explicitly), malformed or foreign lines
-/// are skipped and counted, and a torn final line (killed sampler) counts
-/// as one skip, not an error.
-[[nodiscard]] TimeseriesResult load_timeseries(const std::string& path);
-
 /// Conservation check of a trace against the counters of a
 /// ccmx.run_report/1 document from the same process: comm.bits.agent0/1,
 /// comm.messages, comm.rounds, and the per-round bit partition

@@ -1,5 +1,5 @@
 // Analysis module: report-directory loading, noise-aware diffing, the
-// ccmx.bench_diff/1 schema, and trajectory idempotence.
+// ccmx.bench_diff/1 schema.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -367,178 +367,6 @@ TEST(BenchDiffMarkdown, MentionsTheRegression) {
   EXPECT_NE(md.find("regression"), std::string::npos);
   EXPECT_NE(md.find("BM_Slow/8"), std::string::npos);
   EXPECT_NE(md.find("1.25"), std::string::npos);
-}
-
-TEST(Trajectory, AppendIsIdempotent) {
-  TempDir rdir("t0");
-  write_file(rdir.path() / "BENCH_a.json", make_report("alpha"));
-  write_file(rdir.path() / "BENCH_b.json", make_report("beta"));
-  const LoadResult reports = load_report_dir(rdir.str());
-
-  TempDir tdir("t1");
-  const std::string traj =
-      (tdir.path() / "sub" / "trajectory.jsonl").string();
-
-  const TrajectoryAppend first = append_trajectory(reports, traj);
-  EXPECT_EQ(first.appended, 2u);
-  EXPECT_EQ(first.skipped, 0u);
-  const TrajectoryAppend second = append_trajectory(reports, traj);
-  EXPECT_EQ(second.appended, 0u);
-  EXPECT_EQ(second.skipped, 2u);
-
-  // Every line is a standalone ccmx.trajectory/1 object carrying the
-  // per-benchmark cpu times.
-  std::ifstream in(traj);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    const ccmx::obs::json::Value v = ccmx::obs::json::parse(line);
-    EXPECT_EQ(v.find("schema")->string, kTrajectorySchema);
-    ASSERT_NE(v.find("benchmarks"), nullptr);
-    EXPECT_NE(v.find("benchmarks")->find("BM_Fast/1"), nullptr);
-  }
-  EXPECT_EQ(lines, 2u);
-
-  // A genuinely new run (different unix_time) does append.
-  TempDir rdir2("t2");
-  write_file(rdir2.path() / "BENCH_a.json",
-             make_report("alpha", 1.0, 100, 1000.0, 1 << 20, "cafe0123",
-                         1754500999));
-  const TrajectoryAppend third =
-      append_trajectory(load_report_dir(rdir2.str()), traj);
-  EXPECT_EQ(third.appended, 1u);
-}
-
-/// One ccmx.trajectory/1 JSONL row, as append_trajectory writes them.
-std::string trajectory_row(const std::string& name, std::int64_t unix_time,
-                           double fast_cpu, double flat_cpu) {
-  std::ostringstream out;
-  out << "{\"schema\":\"" << kTrajectorySchema << "\",\"name\":\"" << name
-      << "\",\"git_sha\":\"cafe0123\",\"unix_time\":" << unix_time << ","
-      << "\"benchmarks\":{\"BM_Fast/1\":" << fast_cpu << ","
-      << "\"BM_Flat/1\":" << flat_cpu << "}}\n";
-  return out.str();
-}
-
-TEST(TrajectorySeries, ExtractsSortedPerBenchmarkSeries) {
-  TempDir dir("series");
-  const fs::path traj = dir.path() / "trajectory.jsonl";
-  // Rows intentionally out of time order, plus one foreign-schema line.
-  std::ostringstream rows;
-  rows << trajectory_row("alpha", 2000, 12.0, 5.0)
-       << "{\"schema\":\"ccmx.run_report/1\",\"name\":\"noise\"}\n"
-       << trajectory_row("alpha", 1000, 11.0, 5.0);
-  write_file(traj, rows.str());
-
-  const TrajectorySeriesResult result =
-      load_trajectory_series(traj.string());
-  EXPECT_EQ(result.rows, 2u);
-  EXPECT_EQ(result.skipped, 1u);
-  ASSERT_EQ(result.series.size(), 2u);  // sorted by (report, benchmark)
-  EXPECT_EQ(result.series[0].benchmark, "BM_Fast/1");
-  EXPECT_EQ(result.series[1].benchmark, "BM_Flat/1");
-  ASSERT_EQ(result.series[0].points.size(), 2u);
-  // Points come back time-sorted regardless of file order.
-  EXPECT_EQ(result.series[0].points[0].first, 1000.0);
-  EXPECT_EQ(result.series[0].points[0].second, 11.0);
-  EXPECT_EQ(result.series[0].points[1].second, 12.0);
-
-  // A missing file is empty, not fatal (same contract as trend).
-  const TrajectorySeriesResult missing =
-      load_trajectory_series((dir.path() / "absent.jsonl").string());
-  EXPECT_TRUE(missing.series.empty());
-  EXPECT_EQ(missing.rows, 0u);
-}
-
-TEST(Trend, FitsLinearDriftAndFlatSeries) {
-  TempDir dir("trend");
-  const fs::path traj = dir.path() / "trajectory.jsonl";
-  // BM_Fast drifts +1us/day over four daily runs; BM_Flat is constant.
-  std::ostringstream rows;
-  for (int day = 0; day < 4; ++day) {
-    rows << trajectory_row("alpha", 1754500000 + day * 86400, 10.0 + day,
-                           5.0);
-  }
-  write_file(traj, rows.str());
-
-  const TrendResult trend = trend_from_trajectory(traj.string());
-  EXPECT_EQ(trend.rows, 4u);
-  EXPECT_EQ(trend.skipped, 0u);
-  EXPECT_TRUE(trend.thin_series.empty());
-  ASSERT_EQ(trend.fits.size(), 2u);
-
-  // Sorted by |relative slope| descending: the drifting series leads.
-  const TrendFit& fast = trend.fits[0];
-  EXPECT_EQ(fast.benchmark, "BM_Fast/1");
-  EXPECT_EQ(fast.report, "alpha");
-  EXPECT_EQ(fast.points, 4u);
-  EXPECT_NEAR(fast.span_days, 3.0, 1e-9);
-  EXPECT_NEAR(fast.mean_cpu, 11.5, 1e-9);
-  EXPECT_NEAR(fast.slope_per_day, 1.0, 1e-9);
-  EXPECT_NEAR(fast.rel_slope_per_day, 1.0 / 11.5, 1e-9);
-  EXPECT_NEAR(fast.r2, 1.0, 1e-12);
-
-  const TrendFit& flat = trend.fits[1];
-  EXPECT_EQ(flat.benchmark, "BM_Flat/1");
-  EXPECT_NEAR(flat.slope_per_day, 0.0, 1e-12);
-  EXPECT_NEAR(flat.r2, 1.0, 1e-12);  // zero-slope line fits perfectly
-}
-
-TEST(Trend, SkipsMalformedRowsAndReportsThinSeries) {
-  TempDir dir("trend2");
-  const fs::path traj = dir.path() / "trajectory.jsonl";
-  std::ostringstream rows;
-  rows << trajectory_row("alpha", 1754500000, 10.0, 5.0)
-       << trajectory_row("alpha", 1754586400, 11.0, 5.0)  // only 2 points
-       << "{not json at all\n"
-       << "{\"schema\":\"ccmx.run_report/1\",\"name\":\"alpha\","
-          "\"benchmarks\":{}}\n";
-  write_file(traj, rows.str());
-
-  const TrendResult trend = trend_from_trajectory(traj.string(), 3);
-  EXPECT_EQ(trend.rows, 2u);
-  EXPECT_EQ(trend.skipped, 2u);
-  EXPECT_TRUE(trend.fits.empty());
-  ASSERT_EQ(trend.thin_series.size(), 2u);
-  EXPECT_EQ(trend.thin_series[0], "alpha/BM_Fast/1");
-}
-
-TEST(Trend, MissingTrajectoryIsEmptyNotFatal) {
-  const TrendResult trend =
-      trend_from_trajectory("/nonexistent/ccmx/trajectory.jsonl");
-  EXPECT_EQ(trend.rows, 0u);
-  EXPECT_TRUE(trend.fits.empty());
-}
-
-TEST(TrendJson, RoundTripsThroughTheSchemaCheck) {
-  TempDir dir("trend3");
-  const fs::path traj = dir.path() / "trajectory.jsonl";
-  std::ostringstream rows;
-  for (int day = 0; day < 3; ++day) {
-    rows << trajectory_row("alpha", 1754500000 + day * 86400, 10.0 + day,
-                           5.0);
-  }
-  write_file(traj, rows.str());
-  const TrendResult trend = trend_from_trajectory(traj.string());
-
-  const std::string json_doc = render_trend_json(trend);
-  const json::Value doc = json::parse(json_doc);
-  EXPECT_TRUE(validate_trend(doc).empty())
-      << validate_trend(doc).front();
-  EXPECT_EQ(doc.find("schema")->string, kTrendSchema);
-  ASSERT_NE(doc.find("fits"), nullptr);
-  EXPECT_EQ(doc.find("fits")->array.size(), 2u);
-
-  // The markdown rendering names the drifting benchmark.
-  const std::string md = render_trend_markdown(trend);
-  EXPECT_NE(md.find("BM_Fast/1"), std::string::npos);
-
-  // A foreign schema id must be rejected.
-  const json::Value bad =
-      json::parse("{\"schema\":\"ccmx.bench_diff/1\",\"fits\":[]}");
-  EXPECT_FALSE(validate_trend(bad).empty());
 }
 
 TEST(Verdicts, NamesAreStable) {

@@ -252,6 +252,27 @@ TEST(ArchGate, InjectedLayeringViolationFailsTheGate) {
   fs::remove_all(root);
 }
 
+TEST(ArchGate, HwCountersHeaderIsNotPartOfTheMacroSurface) {
+  // Hardware counters are read only by obs/report and the layers above
+  // obs; a protocol-layer include of the header is an upward edge.
+  const fs::path root = fs::path(testing::TempDir()) / "ccmx_arch_hw";
+  fs::remove_all(root);
+  write_file(root / "src" / "comm" / "channel.cpp",
+             "#include \"obs/obs.hpp\"\n#include \"obs/hwcounters.hpp\"\n");
+  write_file(root / "src" / "obs" / "obs.hpp", "#pragma once\n");
+  write_file(root / "src" / "obs" / "hwcounters.hpp", "#pragma once\n");
+
+  lint::ArchOptions options;
+  options.root = root.string();
+  const lint::ArchResult result = lint::run_arch(options);
+  ASSERT_EQ(result.findings.size(), 1u)
+      << testing::PrintToString(rules_of(result));
+  EXPECT_EQ(result.findings[0].rule, "layering");
+  EXPECT_EQ(result.findings[0].file, "src/comm/channel.cpp");
+  EXPECT_EQ(result.findings[0].line, 2u);
+  fs::remove_all(root);
+}
+
 TEST(ArchGate, RepoIsCleanUnderTheCommittedEmptyBaseline) {
   // The acceptance gate: the actual repo passes `ccmx_lint arch` with
   // the committed baseline, and that baseline carries zero fingerprints

@@ -1,5 +1,5 @@
 // hwcounters: availability probing, graceful degradation, delta
-// arithmetic, report/span attribution, and the telemetry sampler.
+// arithmetic, and run-report attribution.
 //
 // These tests must pass both where perf_event_open works AND where it
 // does not (locked-down CI, container without a PMU, CCMX_OBS=OFF):
@@ -9,33 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <thread>
-#include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 #include "obs/hwcounters.hpp"
 #include "obs/json.hpp"
-#include "obs/obs.hpp"
 #include "obs/report.hpp"
-#include "obs/trace_reader.hpp"
 
 namespace {
 
 using namespace ccmx;
 using ccmx::obs::json::Value;
-
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          ("ccmx_hwtest_" + name + "_" +
-           std::to_string(static_cast<std::uint64_t>(::getpid()))))
-      .string();
-}
 
 TEST(HwDelta, SubtractsFieldwiseAndSaturates) {
   obs::HwCounters start;
@@ -230,142 +213,6 @@ TEST(HwReport, BenchmarkRowCarriesHwAndInsnPerIteration) {
   EXPECT_EQ(rows->array[1].find("insn_per_iteration"), nullptr);
 }
 
-// ------------------------------------------------------------- sampler
-
-TEST(TelemetrySampler, StopBeforeFirstTickStillWritesOneRow) {
-  const std::string path = temp_path("stop_early");
-  obs::TelemetrySampler sampler;
-  obs::SamplerOptions options;
-  options.path = path;
-  options.interval_ms = 60'000;  // never ticks during the test
-  ASSERT_TRUE(sampler.start(options));
-  EXPECT_TRUE(sampler.running());
-  sampler.stop();
-  EXPECT_FALSE(sampler.running());
-  EXPECT_EQ(sampler.rows_written(), 1u);  // the final row at stop()
-  const obs::TimeseriesResult series = obs::load_timeseries(path);
-  EXPECT_TRUE(series.problems.empty());
-  ASSERT_EQ(series.rows.size(), 1u);
-  EXPECT_EQ(series.rows[0].seq, 0u);
-  std::filesystem::remove(path);
-}
-
-TEST(TelemetrySampler, WritesRowsAndRoundTripsThroughTheReader) {
-  const std::string path = temp_path("roundtrip");
-  obs::TelemetrySampler sampler;
-  obs::SamplerOptions options;
-  options.path = path;
-  options.interval_ms = 5;
-  ASSERT_TRUE(sampler.start(options));
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  sampler.stop();
-  const std::uint64_t written = sampler.rows_written();
-  EXPECT_GE(written, 2u);  // several ticks plus the final row
-
-  const obs::TimeseriesResult series = obs::load_timeseries(path);
-  EXPECT_TRUE(series.problems.empty()) << series.problems.front();
-  EXPECT_EQ(series.skipped, 0u);
-  ASSERT_EQ(series.rows.size(), written);
-  for (std::size_t i = 0; i < series.rows.size(); ++i) {
-    const obs::TimeseriesRow& row = series.rows[i];
-    EXPECT_EQ(row.seq, i);
-    EXPECT_GE(row.dt_us, 0);
-    EXPECT_GT(row.rss_bytes, 0);  // a live process has resident pages
-    // hw honesty: numbers only ride on available=true rows.
-    if (!row.hw_available) {
-      EXPECT_EQ(row.instructions, 0u);
-      EXPECT_EQ(row.cycles, 0u);
-    }
-  }
-  EXPECT_GE(series.span_seconds(), 0.0);
-  std::filesystem::remove(path);
-}
-
-TEST(TelemetrySampler, LifecycleIsIdempotentAndRestartable) {
-  const std::string path1 = temp_path("lifecycle1");
-  const std::string path2 = temp_path("lifecycle2");
-  obs::TelemetrySampler sampler;
-  sampler.stop();  // stop before any start: no-op
-  EXPECT_FALSE(sampler.running());
-  EXPECT_EQ(sampler.rows_written(), 0u);
-
-  obs::SamplerOptions options;
-  options.path = path1;
-  options.interval_ms = 60'000;
-  ASSERT_TRUE(sampler.start(options));
-  EXPECT_FALSE(sampler.start(options));  // second start refused
-  EXPECT_TRUE(sampler.running());
-  sampler.stop();
-  sampler.stop();  // double stop: no-op, no second final row
-  EXPECT_EQ(sampler.rows_written(), 1u);
-
-  options.path = path2;  // restart after stop opens a fresh series
-  ASSERT_TRUE(sampler.start(options));
-  sampler.stop();
-  EXPECT_EQ(sampler.rows_written(), 1u);
-  EXPECT_EQ(obs::load_timeseries(path2).rows.size(), 1u);
-  std::filesystem::remove(path1);
-  std::filesystem::remove(path2);
-}
-
-TEST(TelemetrySampler, RefusesUnwritablePathAndUnsetEnv) {
-  obs::TelemetrySampler sampler;
-  obs::SamplerOptions options;
-  options.path = "/nonexistent_ccmx_dir/ts.jsonl";
-  EXPECT_FALSE(sampler.start(options));
-  EXPECT_FALSE(sampler.running());
-
-  ::unsetenv("CCMX_SAMPLE_FILE");
-  EXPECT_FALSE(sampler.start_from_env());
-  EXPECT_FALSE(sampler.running());
-}
-
-TEST(TelemetrySampler, StartFromEnvHonorsSampleFile) {
-  const std::string path = temp_path("from_env");
-  ::setenv("CCMX_SAMPLE_FILE", path.c_str(), /*overwrite=*/1);
-  ::setenv("CCMX_SAMPLE_MS", "60000", /*overwrite=*/1);
-  {
-    obs::TelemetrySampler sampler;
-    EXPECT_TRUE(sampler.start_from_env());
-    EXPECT_TRUE(sampler.running());
-    // Destructor stops: the final row must still land.
-  }
-  ::unsetenv("CCMX_SAMPLE_FILE");
-  ::unsetenv("CCMX_SAMPLE_MS");
-  EXPECT_EQ(obs::load_timeseries(path).rows.size(), 1u);
-  std::filesystem::remove(path);
-}
-
-// ------------------------------------------------- timeseries reading
-
-TEST(TimeseriesReader, MissingFileIsAProblemNotACrash) {
-  const obs::TimeseriesResult series =
-      obs::load_timeseries("/nonexistent_ccmx_dir/ts.jsonl");
-  EXPECT_TRUE(series.rows.empty());
-  ASSERT_FALSE(series.problems.empty());
-}
-
-TEST(TimeseriesReader, SkipsForeignAndTornLines) {
-  const std::string path = temp_path("torn");
-  {
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << R"({"schema":"ccmx.timeseries/1","seq":0,"t_us":10,"dt_us":10,)"
-        << R"("rss_bytes":4096,"utime_s":0,"stime_s":0,"minor_faults":1,)"
-        << R"("major_faults":0,"counters":{},"hw":{"available":false}})"
-        << '\n';
-    out << R"({"schema":"ccmx.other/1","x":1})" << '\n';  // foreign schema
-    // A nesting bomb: skipped at the parser's depth bound, not a crash.
-    out << std::string(200000, '[') << std::string(200000, ']') << '\n';
-    out << R"({"schema":"ccmx.timeseries/1","seq":1,"t_us)";  // torn tail
-  }
-  const obs::TimeseriesResult series = obs::load_timeseries(path);
-  ASSERT_EQ(series.rows.size(), 1u);
-  EXPECT_EQ(series.skipped, 3u);
-  EXPECT_EQ(series.rows[0].rss_bytes, 4096);
-  EXPECT_FALSE(series.rows[0].hw_available);
-  std::filesystem::remove(path);
-}
-
 #else  // CCMX_OBS_DISABLED
 
 TEST(HwDisabled, EverythingIsAnExplicitNoOp) {
@@ -376,13 +223,6 @@ TEST(HwDisabled, EverythingIsAnExplicitNoOp) {
   const obs::HwRegion region;
   EXPECT_FALSE(region.available());
   EXPECT_FALSE(region.delta().available);
-  obs::TelemetrySampler sampler;
-  obs::SamplerOptions options;
-  options.path = temp_path("disabled");
-  EXPECT_FALSE(sampler.start(options));
-  EXPECT_FALSE(sampler.running());
-  EXPECT_EQ(sampler.rows_written(), 0u);
-  sampler.stop();  // still safe
 }
 
 #endif  // CCMX_OBS_DISABLED

@@ -1,7 +1,7 @@
 // Sampling CPU profiler: degradation reasons, start/stop idempotence,
 // the ring-overflow conservation ledger, symbol attribution of a known
-// hot function, span attribution, and coexistence with the telemetry
-// sampler and the trace writer.  Under CCMX_OBS=OFF only the stub
+// hot function, span attribution, and coexistence with the trace
+// writer.  Under CCMX_OBS=OFF only the stub
 // contract is testable — and tested.
 #include "obs/profiler.hpp"
 
@@ -11,12 +11,14 @@
 #include <cstdint>
 #include <ctime>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
-#include "obs/hwcounters.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile_reader.hpp"
+#include "obs/schemas.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <signal.h>
@@ -59,6 +61,34 @@ extern "C" __attribute__((noinline)) std::uint64_t ccmx_test_spin_hot(
     }
   } while (thread_cpu_seconds() < until);
   return acc;
+}
+
+// The reader is plain file analysis, so it is tested in every build mode.
+TEST(ProfileReader, SkipsForeignDeepAndTornLines) {
+  const std::string path = temp_profile_path("reader_torn");
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << R"({"ev":"meta","schema":")" << obs::kProfileSchema
+        << R"(","hz":97,"mechanism":"setitimer","start_us":0})" << '\n';
+    out << R"({"ev":"frame","id":1,"pc":4096,"sym":"hot","module":"m",)"
+        << R"("off":0,"symbolized":true})" << '\n';
+    out << R"({"schema":"ccmx.other/1","x":1})" << '\n';  // foreign line
+    out << R"({"ev":"sample","tid":1,"span":0,"t_us":5,"stack":[1]})" << '\n';
+    // A nesting bomb: skipped at the parser's depth bound, not a crash.
+    out << std::string(200000, '[') << std::string(200000, ']') << '\n';
+    out << R"({"ev":"ledger","captured":1,"written":1,"dropped":0,)"
+        << R"("truncated":0,"threads":1})" << '\n';
+    out << R"({"ev":"sample","tid":1,"sp)";  // torn tail
+  }
+  const obs::ProfileData prof = obs::load_profile(path);
+  EXPECT_TRUE(prof.problems.empty()) << prof.problems.front();
+  EXPECT_EQ(prof.skipped, 3u);
+  EXPECT_EQ(prof.hz, 97u);
+  ASSERT_EQ(prof.frames.size(), 1u);
+  ASSERT_EQ(prof.samples.size(), 1u);
+  EXPECT_EQ(prof.samples[0].stack, std::vector<std::uint64_t>{1});
+  EXPECT_TRUE(prof.ledger_balances());
+  std::filesystem::remove(path);
 }
 
 #ifdef CCMX_OBS_DISABLED
@@ -232,23 +262,16 @@ TEST(Profiler, RingOverflowIsCountedNeverSilent) {
   std::filesystem::remove(options.path);
 }
 
-TEST(Profiler, CoexistsWithTelemetrySamplerAndTraceWriter) {
-  // All three observability backends at once — the profiler's SIGPROF
-  // handler interrupts span emission and sampler sweeps, and nothing may
-  // deadlock or miscount.
+TEST(Profiler, CoexistsWithTraceWriter) {
+  // Both background writers at once — the profiler's SIGPROF handler
+  // interrupts span emission, and nothing may deadlock or miscount.
   const std::string trace_path = temp_profile_path("coexist_trace");
-  const std::string series_path = temp_profile_path("coexist_series");
   const std::string prof_path = temp_profile_path("coexist_prof");
 
   obs::set_enabled(true);
   obs::TraceSinkOptions sink;
   sink.path = trace_path;
   ASSERT_TRUE(obs::open_trace_sink(sink));
-  obs::TelemetrySampler sampler;
-  obs::SamplerOptions sampling;
-  sampling.path = series_path;
-  sampling.interval_ms = 10;
-  ASSERT_TRUE(sampler.start(sampling));
 
   obs::ProfilerOptions options;
   options.path = prof_path;
@@ -272,7 +295,6 @@ TEST(Profiler, CoexistsWithTelemetrySamplerAndTraceWriter) {
   EXPECT_TRUE(worker_ok.load());
 
   const obs::ProfilerLedger ledger = obs::profiler_stop();
-  sampler.stop();
   obs::flush_thread();
   obs::close_trace_sink();
   obs::set_enabled(false);
@@ -280,13 +302,11 @@ TEST(Profiler, CoexistsWithTelemetrySamplerAndTraceWriter) {
   EXPECT_EQ(ledger.captured, ledger.written + ledger.dropped);
   EXPECT_GT(ledger.captured, 0u);
   EXPECT_GE(ledger.threads, 2u);  // main + registered worker
-  EXPECT_GT(sampler.rows_written(), 0u);
   EXPECT_GT(std::filesystem::file_size(trace_path), 0u);
 
   const obs::ProfileData prof = obs::load_profile(prof_path);
   EXPECT_TRUE(prof.ledger_balances());
   std::filesystem::remove(trace_path);
-  std::filesystem::remove(series_path);
   std::filesystem::remove(prof_path);
 }
 

@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "util/env.hpp"
 #include "util/narrow.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -249,6 +251,47 @@ TEST(Narrow, AcceptsExactAndRejectsLossy) {
   EXPECT_THROW((void)narrow<std::uint8_t>(256), contract_error);
   EXPECT_THROW((void)narrow<std::uint32_t>(-1), contract_error);
   EXPECT_EQ(narrow<int>(std::int64_t{123}), 123);
+}
+
+/// env_uint on one value of a test-only variable, with its stderr.
+std::uint64_t read_knob(const char* value, std::string& err) {
+  ::setenv("CCMX_TEST_KNOB", value, /*overwrite=*/1);
+  testing::internal::CaptureStderr();
+  const std::uint64_t v =
+      env_uint("CCMX_TEST_KNOB", 1, 100, 7, "an integer in [1, 100]");
+  err = testing::internal::GetCapturedStderr();
+  ::unsetenv("CCMX_TEST_KNOB");
+  return v;
+}
+
+TEST(EnvUint, AcceptsPlainDigitsInRangeSilently) {
+  std::string err;
+  EXPECT_EQ(read_knob("42", err), 42u);
+  EXPECT_EQ(err, "");
+  EXPECT_EQ(read_knob("", err), 7u);  // empty means unset
+  EXPECT_EQ(err, "");
+  EXPECT_EQ(env_uint("CCMX_TEST_KNOB_UNSET", 1, 100, 7, "x"), 7u);
+}
+
+TEST(EnvUint, RejectsSignsTrailingTextAndRangeWithOneLine) {
+  for (const char* bad : {"4x", "-2", "+3", "abc", " 5", "0", "101",
+                          "99999999999999999999999"}) {
+    std::string err;
+    EXPECT_EQ(read_knob(bad, err), 7u) << bad;
+    EXPECT_EQ(err, std::string("ccmx: ignoring CCMX_TEST_KNOB='") + bad +
+                       "' (expected an integer in [1, 100]); using 7\n");
+  }
+}
+
+TEST(EnvTruthy, OffSpellingsAreFalse) {
+  for (const char* off : {"", "0", "false", "off", "no"}) {
+    ::setenv("CCMX_TEST_FLAG", off, /*overwrite=*/1);
+    EXPECT_FALSE(env_truthy("CCMX_TEST_FLAG")) << off;
+  }
+  ::setenv("CCMX_TEST_FLAG", "1", /*overwrite=*/1);
+  EXPECT_TRUE(env_truthy("CCMX_TEST_FLAG"));
+  ::unsetenv("CCMX_TEST_FLAG");
+  EXPECT_FALSE(env_truthy("CCMX_TEST_FLAG"));
 }
 
 TEST(Table, RendersAlignedMarkdown) {

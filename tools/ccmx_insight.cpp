@@ -7,12 +7,6 @@
 //       Prints a markdown summary, optionally writes ccmx.bench_diff/1
 //       JSON (--json) and markdown (--md).  Exit 1 when any cpu_time
 //       regression survives the thresholds — the CI perf gate.
-//   trajectory --reports DIR [--out FILE]
-//       Append one ccmx.trajectory/1 JSONL line per report to the
-//       repo's perf trajectory (idempotent per name+git_sha+unix_time).
-//   trend [--trajectory FILE] [--min-points N] [--json PATH]
-//       Least-squares cpu_time drift per benchmark across the
-//       trajectory (ccmx.trend/1), worst relative slope first.
 //   lint FILE
 //       Validate and summarize a ccmx_lint JSON report (exit 1 when it
 //       carries non-baselined findings).
@@ -28,11 +22,6 @@
 //       counters.  --chrome converts the whole trace to Chrome
 //       trace-event JSON (ccmx.chrome_trace/1) for Perfetto /
 //       chrome://tracing.  Exit 1 on conservation mismatch.
-//   timeseries FILE [--json PATH]
-//       Summarize a ccmx.timeseries/1 JSONL file written by the
-//       background telemetry sampler (CCMX_SAMPLE_FILE): sample count,
-//       wall span, RSS range, CPU time, and — when the machine exposes
-//       hardware counters — aggregate IPC and instruction rate.
 //   profile FILE [--top N] [--collapsed OUT] [--trace TRACE.jsonl]
 //       Summarize a ccmx.profile/1 JSONL stream written by the sampling
 //       CPU profiler (CCMX_PROF_HZ / CCMX_PROF_FILE): the conservation
@@ -78,7 +67,6 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile_reader.hpp"
-#include "obs/schemas.hpp"
 #include "obs/trace_reader.hpp"
 #include "protocols/fingerprint.hpp"
 #include "protocols/send_half.hpp"
@@ -92,17 +80,13 @@ using namespace ccmx;
 int usage() {
   std::cerr <<
       "usage: ccmx_insight "
-      "<diff|trajectory|trend|trace|timeseries|profile|fit|lint|arch>"
+      "<diff|trace|profile|fit|lint|arch>"
       " ...\n"
       "  diff --baseline DIR --candidate DIR [--json PATH] [--md PATH]\n"
       "       [--cpu-tol F=0.20] [--counter-tol F=0.25] [--rss-tol F=0.30]\n"
       "       [--insn-tol F=0.02] [--min-iters N=3]\n"
       "       [--allow-missing-baseline]\n"
-      "  trajectory --reports DIR [--out FILE=bench/out/trajectory.jsonl]\n"
-      "  trend [--trajectory FILE=bench/out/trajectory.jsonl]\n"
-      "       [--min-points N=3] [--json PATH] [--md PATH]\n"
       "  trace FILE [--report BENCH.json] [--chrome OUT.json]\n"
-      "  timeseries FILE [--json PATH]\n"
       "  profile FILE [--top N=15] [--collapsed OUT] [--trace TRACE.jsonl]\n"
       "  fit --law send-half|fingerprint [--seed N=7] [--max-dev F]\n"
       "  lint FILE\n"
@@ -242,62 +226,6 @@ int cmd_diff(Args& args) {
     }
   }
   return diff.has_cpu_regression() || diff.has_insn_regression() ? 1 : 0;
-}
-
-// ---------------------------------------------------------- trajectory
-
-int cmd_trajectory(Args& args) {
-  const auto reports_dir = args.option("--reports");
-  if (!reports_dir) return usage();
-  const std::string out =
-      args.option("--out").value_or("bench/out/trajectory.jsonl");
-  const obs::LoadResult reports = obs::load_report_dir(*reports_dir);
-  for (const std::string& p : reports.problems) {
-    std::cerr << "warning: " << p << '\n';
-  }
-  if (reports.reports.empty()) {
-    std::cerr << "error: no valid reports in " << *reports_dir << '\n';
-    return 2;
-  }
-  const obs::TrajectoryAppend result = obs::append_trajectory(reports, out);
-  std::cout << "trajectory: " << out << " (+" << result.appended
-            << " appended, " << result.skipped << " already present)\n";
-  return 0;
-}
-
-// --------------------------------------------------------------- trend
-
-int cmd_trend(Args& args) {
-  const std::string trajectory =
-      args.option("--trajectory").value_or("bench/out/trajectory.jsonl");
-  std::size_t min_points = 3;
-  if (const auto v = args.option("--min-points")) {
-    min_points = std::strtoul(v->c_str(), nullptr, 10);
-    if (min_points < 2) min_points = 2;  // a line needs two points
-  }
-  const obs::TrendResult trend =
-      obs::trend_from_trajectory(trajectory, min_points);
-  if (trend.rows == 0) {
-    std::cerr << "error: no trajectory rows in " << trajectory
-              << " (run `ccmx_insight trajectory` first)\n";
-    return 2;
-  }
-  const std::string markdown = obs::render_trend_markdown(trend);
-  std::cout << markdown;
-  if (const auto path = args.option("--json")) {
-    if (!write_text_file(*path, obs::render_trend_json(trend))) {
-      std::cerr << "error: cannot write " << *path << '\n';
-      return 2;
-    }
-    std::cout << "trend json: " << *path << '\n';
-  }
-  if (const auto path = args.option("--md")) {
-    if (!write_text_file(*path, markdown)) {
-      std::cerr << "error: cannot write " << *path << '\n';
-      return 2;
-    }
-  }
-  return 0;
 }
 
 // ---------------------------------------------------------------- lint
@@ -591,111 +519,6 @@ int cmd_trace(Args& args) {
       for (const std::string& m : mismatches) std::cout << "  " << m << '\n';
       return 1;
     }
-  }
-  return 0;
-}
-
-// ---------------------------------------------------------- timeseries
-
-int cmd_timeseries(Args& args) {
-  const auto path = args.positional();
-  if (!path) return usage();
-
-  const obs::TimeseriesResult series = obs::load_timeseries(*path);
-  for (const std::string& p : series.problems) {
-    std::cerr << "warning: " << p << '\n';
-  }
-  if (series.rows.empty()) {
-    std::cerr << "error: no " << obs::kTimeseriesSchema << " rows in "
-              << *path << '\n';
-    return 2;
-  }
-
-  // Aggregate the interval deltas: hw numbers in each row cover that
-  // row's dt, so summing them and dividing by the wall span gives the
-  // sampled-run averages.
-  std::int64_t rss_min = series.rows.front().rss_bytes;
-  std::int64_t rss_max = rss_min;
-  std::uint64_t insn = 0;
-  std::uint64_t cycles = 0;
-  std::size_t hw_rows = 0;
-  for (const obs::TimeseriesRow& row : series.rows) {
-    rss_min = std::min(rss_min, row.rss_bytes);
-    rss_max = std::max(rss_max, row.rss_bytes);
-    if (row.hw_available) {
-      ++hw_rows;
-      insn += row.instructions;
-      cycles += row.cycles;
-    }
-  }
-  const obs::TimeseriesRow& last = series.rows.back();
-  const double span = series.span_seconds();
-  const double ipc =
-      cycles > 0 ? static_cast<double>(insn) / static_cast<double>(cycles)
-                 : 0.0;
-
-  std::cout << "timeseries: " << *path << " — " << series.rows.size()
-            << " sample(s) over " << util::fmt_double(span, 3) << " s";
-  if (series.skipped > 0) {
-    std::cout << " (" << series.skipped << " line(s) skipped)";
-  }
-  std::cout << '\n';
-  util::TextTable table({"metric", "value"});
-  table.row("rss min (bytes)", rss_min);
-  table.row("rss max (bytes)", rss_max);
-  table.row("rss final (bytes)", last.rss_bytes);
-  table.row("utime final (s)", util::fmt_double(last.utime_s, 3));
-  table.row("stime final (s)", util::fmt_double(last.stime_s, 3));
-  table.row("minor faults", last.minor_faults);
-  table.row("major faults", last.major_faults);
-  if (hw_rows > 0) {
-    table.row("hw samples", hw_rows);
-    table.row("instructions", insn);
-    table.row("cycles", cycles);
-    table.row("ipc", util::fmt_double(ipc, 3));
-    if (span > 0.0) {
-      table.row("insn/sec",
-                util::fmt_double(static_cast<double>(insn) / span, 0));
-    }
-  } else {
-    table.row("hw counters", "unavailable");
-  }
-  table.print(std::cout);
-
-  if (const auto json_path = args.option("--json")) {
-    std::ostringstream os;
-    obs::json::Writer w(os);
-    w.begin_object();
-    w.key("schema").value(obs::kTimeseriesSummarySchema);
-    w.key("path").value(*path);
-    w.key("samples").value(static_cast<std::uint64_t>(series.rows.size()));
-    w.key("skipped").value(static_cast<std::uint64_t>(series.skipped));
-    w.key("span_seconds").value(span);
-    w.key("rss_min_bytes").value(rss_min);
-    w.key("rss_max_bytes").value(rss_max);
-    w.key("rss_final_bytes").value(last.rss_bytes);
-    w.key("utime_s").value(last.utime_s);
-    w.key("stime_s").value(last.stime_s);
-    w.key("minor_faults").value(last.minor_faults);
-    w.key("major_faults").value(last.major_faults);
-    w.key("hw").begin_object();
-    w.key("available").value(hw_rows > 0);
-    if (hw_rows > 0) {
-      w.key("samples").value(static_cast<std::uint64_t>(hw_rows));
-      w.key("instructions").value(insn);
-      w.key("cycles").value(cycles);
-      w.key("ipc").value(ipc);
-      w.key("insn_per_second")
-          .value(span > 0.0 ? static_cast<double>(insn) / span : 0.0);
-    }
-    w.end_object();
-    w.end_object();
-    os << '\n';
-    if (!write_text_file(*json_path, os.str())) {
-      std::cerr << "error: cannot write " << *json_path << '\n';
-      return 2;
-    }
-    std::cout << "timeseries summary json: " << *json_path << '\n';
   }
   return 0;
 }
@@ -1042,10 +865,7 @@ int main(int argc, char** argv) {
   Args args(argc, argv, 2);
   try {
     if (cmd == "diff") return cmd_diff(args);
-    if (cmd == "trajectory") return cmd_trajectory(args);
-    if (cmd == "trend") return cmd_trend(args);
     if (cmd == "trace") return cmd_trace(args);
-    if (cmd == "timeseries") return cmd_timeseries(args);
     if (cmd == "profile") return cmd_profile(args);
     if (cmd == "fit") return cmd_fit(args);
     if (cmd == "lint") return cmd_lint(args);

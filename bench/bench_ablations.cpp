@@ -1,6 +1,8 @@
 // A0 — design-choice ablations (DESIGN.md section 5 follow-ups):
 //   * exact determinant engines: Bareiss vs cofactor vs CRT-over-primes vs
 //     |det| via Smith normal form — all must agree; costs differ sharply,
+//   * exact rank: Bareiss vs the certified multimodular engine, and
+//     core::solvable on top of it,
 //   * product kernels: naive vs blocked vs Strassen over BigInt,
 //   * mesh scheduling: sequential vs wavefront-pipelined (same traffic,
 //     Theta(n^2) -> Theta(n) cycles, AT^2 approaching the bound),
@@ -13,6 +15,7 @@
 #include "bench_common.hpp"
 #include "core/census.hpp"
 #include "core/construction.hpp"
+#include "core/reductions.hpp"
 #include "linalg/det.hpp"
 #include "linalg/det_crt.hpp"
 #include "linalg/hnf.hpp"
@@ -201,6 +204,43 @@ void BM_DetSnf(benchmark::State& state) {
 BENCHMARK(BM_DetBareiss)->DenseRange(4, 16, 2);
 BENCHMARK(BM_DetCrt)->DenseRange(4, 16, 2);
 BENCHMARK(BM_DetSnf)->Arg(4)->Arg(8);
+
+/// n x n, 16-bit entries; `deficient` copies row 0 over the last row, so
+/// the multimodular rank has to walk its whole certificate.
+la::IntMatrix rank_input(std::size_t n, bool deficient) {
+  util::Xoshiro256 rng(n);
+  la::IntMatrix m = random_entries(n, n, 16, rng);
+  if (deficient) {
+    for (std::size_t j = 0; j < n; ++j) m(n - 1, j) = m(0, j);
+  }
+  return m;
+}
+void BM_RankBareiss(benchmark::State& state) {
+  const la::IntMatrix m = rank_input(static_cast<std::size_t>(state.range(0)),
+                                     state.range(1) != 0);
+  for (auto _ : state) benchmark::DoNotOptimize(la::rank_bareiss(m));
+}
+void BM_RankMultimodular(benchmark::State& state) {
+  const la::IntMatrix m = rank_input(static_cast<std::size_t>(state.range(0)),
+                                     state.range(1) != 0);
+  for (auto _ : state) benchmark::DoNotOptimize(la::rank_crt(m));
+}
+/// The rational-solvability shape: A is n x (n-1) with 16-bit entries, b is
+/// a column of A (solvable, both ranks n - 1) or random (rank [A | b] = n).
+void BM_Solvable(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Xoshiro256 rng(n);
+  const la::IntMatrix a = random_entries(n, n - 1, 16, rng);
+  std::vector<num::BigInt> b =
+      state.range(1) != 0 ? a.col(0) : random_entries(n, 1, 16, rng).col(0);
+  for (auto _ : state) benchmark::DoNotOptimize(core::solvable(a, b));
+}
+// n = 2..24, full rank and rank n - 1 (second argument 1): the rows that
+// place la::kRankCrtCrossover (docs/PERFORMANCE.md).
+const std::vector<std::int64_t> kRankSizes{2, 3, 4, 5, 6, 7, 8, 12, 16, 20, 24};
+BENCHMARK(BM_RankBareiss)->ArgsProduct({kRankSizes, {0, 1}});
+BENCHMARK(BM_RankMultimodular)->ArgsProduct({kRankSizes, {0, 1}});
+BENCHMARK(BM_Solvable)->ArgsProduct({{4, 8, 12, 16, 20, 24}, {0, 1}});
 
 void BM_MultiplyNaive(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -21,7 +21,6 @@
 // CCMX_REPORT=<path> writes a ccmx.run_report/1 JSON summary at exit
 // (see docs/OBSERVABILITY.md).
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -62,15 +61,15 @@ constexpr double kMemoryBudgetBytes = 1024.0 * 1024.0 * 1024.0;
 /// constants are measured peak RSS over n² (x86-64, Release), rounded up:
 /// singularity and solvable hold the BigInt matrix plus send-half's
 /// per-input-bit bookkeeping (the partition's owner byte and both agents'
-/// owned-index lists, about 19 bytes for each of the k bits of an entry);
-/// solvable's exact check adds gcd-normalized rationals whose numerators
-/// and denominators grow to about n·(k + log2 n) bits.  hard works on a
+/// owned-index lists, about 19 bytes for each of the k bits of an entry).
+/// solvable's exact check (two multimodular ranks) adds only short-lived
+/// copies of A and [A | b]: it peaks about 16% above singularity, still
+/// under the shared constant.  hard works on a
 /// 2n x 2n matrix, rank on bordered n x n matrices, mesh on the n x n
 /// input plus one cell per entry.
 double peak_bytes(const std::string& cmd, double n, double k) {
-  if (cmd == "singularity") return n * n * (96 + 24 * k);
-  if (cmd == "solvable") {
-    return n * n * (96 + 24 * k) + n * n * n * (k + std::log2(n + 1)) / 4;
+  if (cmd == "singularity" || cmd == "solvable") {
+    return n * n * (96 + 24 * k);
   }
   if (cmd == "hard") return n * n * 2048;
   if (cmd == "rank") return n * n * 512;

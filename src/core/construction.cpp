@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "bigint/negabase.hpp"
+#include "core/reductions.hpp"
 #include "linalg/rref.hpp"
 #include "util/narrow.hpp"
 #include "util/require.hpp"
@@ -144,12 +145,7 @@ la::IntMatrix build_m(const ConstructionParams& p, const FreeParts& parts) {
 
 bool lemma32_singular(const ConstructionParams& p, const la::IntMatrix& a,
                       const la::IntMatrix& b) {
-  const std::vector<BigInt> u = p.u_vector();
-  const std::vector<BigInt> bu = multiply(b, u);
-  std::vector<num::Rational> rhs;
-  rhs.reserve(bu.size());
-  for (const BigInt& v : bu) rhs.emplace_back(v);
-  return la::in_column_span(la::to_rational(a), rhs);
+  return solvable(a, multiply(b, p.u_vector()));
 }
 
 namespace {

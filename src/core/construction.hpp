@@ -117,7 +117,7 @@ struct FreeParts {
                                     const FreeParts& parts);
 
 /// Lemma 3.2 predicate: with dim Span(A) = n - 1, M is singular iff
-/// B u \in Span(A).  Computed by exact rational solve.
+/// B u \in Span(A).  Decided exactly by core::solvable(A, B u).
 [[nodiscard]] bool lemma32_singular(const ConstructionParams& p,
                                     const la::IntMatrix& a,
                                     const la::IntMatrix& b);

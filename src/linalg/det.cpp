@@ -73,10 +73,18 @@ std::size_t hadamard_det_bits(std::size_t n, unsigned k) {
   return static_cast<std::size_t>(std::ceil(bits));
 }
 
-std::size_t hadamard_det_bits(const IntMatrix& m) {
-  // |det| <= prod_i ||row_i||_2, and ||row_i||_2 <= sqrt(nnz_i) * 2^{b_i}
-  // where b_i is the widest entry of row i: no cap on the entry width.
-  double bits = 1.0;
+namespace {
+
+/// log2 of prod ||row_i||_2 over the nonzero rows of m, bounded above from
+/// each row's widest entry b_i and nonzero count: ||row_i||_2 <=
+/// sqrt(nnz_i) * 2^{b_i}, with no cap on the entry width.
+struct RowNormBits {
+  double bits = 0.0;
+  bool zero_row = false;  // some row was left out
+};
+
+RowNormBits row_norm_bits(const IntMatrix& m) {
+  RowNormBits out;
   for (std::size_t i = 0; i < m.rows(); ++i) {
     std::size_t width = 0;
     std::size_t nonzeros = 0;
@@ -85,11 +93,27 @@ std::size_t hadamard_det_bits(const IntMatrix& m) {
       ++nonzeros;
       width = std::max(width, m(i, j).bit_length());
     }
-    if (nonzeros == 0) return 0;  // a zero row: every such det is 0
-    bits += static_cast<double>(width) +
-            0.5 * std::log2(static_cast<double>(nonzeros));
+    if (nonzeros == 0) {
+      out.zero_row = true;
+      continue;
+    }
+    out.bits += static_cast<double>(width) +
+                0.5 * std::log2(static_cast<double>(nonzeros));
   }
-  return static_cast<std::size_t>(std::ceil(bits));
+  return out;
+}
+
+}  // namespace
+
+std::size_t hadamard_det_bits(const IntMatrix& m) {
+  // |det| <= prod_i ||row_i||_2; a zero row makes every such det 0.
+  const RowNormBits norms = row_norm_bits(m);
+  if (norms.zero_row) return 0;
+  return static_cast<std::size_t>(std::ceil(norms.bits + 1.0));
+}
+
+std::size_t hadamard_minor_bits(const IntMatrix& m) {
+  return static_cast<std::size_t>(std::ceil(row_norm_bits(m).bits + 1.0));
 }
 
 }  // namespace ccmx::la

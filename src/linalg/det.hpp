@@ -5,11 +5,11 @@
 //     kDetCrtCrossover rows (all intermediates integral and bounded by
 //     Hadamard's inequality, O(n^3) BigInt operations), det_crt above it
 //     (one word-sized elimination per 62-bit prime, then CRT).
-//   * is_singular(m) — only whether det(m) == 0.  Multimodular with an
-//     early exit: one nonzero det mod p proves nonsingularity, and zero
-//     residues on primes whose product exceeds the Hadamard bound prove
-//     singularity.  This is Leighton's fingerprint bound read as a
-//     certificate, and never builds a BigInt.
+//   * is_singular(m) — only whether det(m) == 0, read as "certified rank
+//     < n" off the prime loop of rank_crt (det_crt.hpp): one residue of
+//     rank n proves nonsingularity, and lower ranks on primes whose product
+//     exceeds the Hadamard bound prove singularity.  This is Leighton's
+//     fingerprint bound read as a certificate, and never builds a BigInt.
 // det_bareiss, det_crt (det_crt.hpp) and the O(n!) cofactor expansion stay
 // as named engines so tests and the A0a table can cross-check them.
 #pragma once
@@ -50,5 +50,12 @@ inline constexpr std::size_t kDetCrtCrossover = 7;
 /// bounds det A and every Cramer numerator (a row of A with one entry
 /// replaced by b_i is no longer than the row of [A | b]).
 [[nodiscard]] std::size_t hadamard_det_bits(const IntMatrix& m);
+
+/// The same bound over the nonzero rows only, so it bounds every minor of m
+/// of any size: a minor's rows are pieces of distinct rows of m, each no
+/// longer than the whole row, and a nonzero integer row has norm >= 1.
+/// This sizes rank_crt's prime budget, where hadamard_det_bits(m) — 0 on a
+/// zero row, which is right for det — would certify nothing.
+[[nodiscard]] std::size_t hadamard_minor_bits(const IntMatrix& m);
 
 }  // namespace ccmx::la

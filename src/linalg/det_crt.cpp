@@ -1,6 +1,8 @@
 #include "linalg/det_crt.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <vector>
 
 #include "bigint/modular.hpp"
 #include "linalg/det.hpp"
@@ -26,6 +28,12 @@ std::uint64_t ladder_residue(const IntMatrix& m, std::size_t i) {
   return det_mod_p(reduce_mod(m, p), p);
 }
 
+/// rank(m mod the i-th ladder prime).
+std::size_t ladder_rank(const IntMatrix& m, std::size_t i) {
+  const std::uint64_t p = num::ladder_prime(i);
+  return rank_mod_p(reduce_mod(m, p), p);
+}
+
 /// Calls body(i) for i in [begin, end): sharded for large m, serial else.
 template <class Body>
 void for_each_prime(const IntMatrix& m, std::size_t begin, std::size_t end,
@@ -35,6 +43,47 @@ void for_each_prime(const IntMatrix& m, std::size_t begin, std::size_t end,
   } else {
     for (std::size_t i = begin; i < end; ++i) body(i);
   }
+}
+
+/// rank(m) bounded by its nonzero rows and nonzero columns.  Each line's
+/// scan stops at its first nonzero entry, so a dense matrix costs
+/// O(rows + cols) checks, not O(rows * cols).
+std::size_t nonzero_lines_bound(const IntMatrix& m) {
+  std::size_t rows = 0;
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    std::size_t j = 0;
+    while (j < m.cols() && m(i, j).is_zero()) ++j;
+    if (j < m.cols()) ++rows;
+  }
+  std::size_t cols = 0;
+  for (std::size_t j = 0; j < m.cols(); ++j) {
+    std::size_t i = 0;
+    while (i < m.rows() && m(i, j).is_zero()) ++i;
+    if (i < m.rows()) ++cols;
+  }
+  return std::min(rows, cols);
+}
+
+/// min(rank m, target), exact: the prime loop behind rank_crt and
+/// is_singular.  Every rank(m mod p) is at most rank m, so r = max over
+/// primes stops the loop as soon as it reaches the target (for a full-rank
+/// matrix, almost always on the first prime).  If r stays below, every
+/// minor of size r + 1 is 0 mod primes whose product exceeds
+/// hadamard_minor_bits(m), a bound on its absolute value, so the minor is
+/// 0 and rank m = r.
+std::size_t certified_rank(const IntMatrix& m, std::size_t target) {
+  if (target == 0) return 0;
+  const std::size_t first = ladder_rank(m, 0);
+  if (first >= target) return target;
+  // Each ladder prime exceeds 2^61, so 61 * primes > bits suffices.
+  std::vector<std::size_t> ranks(hadamard_minor_bits(m) / 61 + 1, first);
+  std::atomic<bool> reached{false};
+  for_each_prime(m, 1, ranks.size(), [&](std::size_t i) {
+    if (reached) return;
+    ranks[i] = ladder_rank(m, i);
+    if (ranks[i] >= target) reached = true;
+  });
+  return std::min(target, *std::max_element(ranks.begin(), ranks.end()));
 }
 
 }  // namespace
@@ -74,19 +123,15 @@ BigInt det_crt(const IntMatrix& m) {
   return value;
 }
 
+std::size_t rank_crt(const IntMatrix& m) {
+  return certified_rank(m, nonzero_lines_bound(m));
+}
+
 bool is_singular(const IntMatrix& m) {
   CCMX_REQUIRE(m.is_square(), "determinant of a non-square matrix");
-  if (m.rows() == 0) return false;
-  // One nonzero residue proves det != 0; for a nonsingular matrix the first
-  // prime almost always settles it.
-  if (ladder_residue(m, 0) != 0) return false;
-  // A nonzero det with zero residues would be divisible by the product of
-  // the primes, which exceeds the Hadamard bound — so all-zero proves det = 0.
-  std::atomic<bool> nonzero{false};
-  for_each_prime(m, 1, det_crt_prime_count(m), [&](std::size_t i) {
-    if (!nonzero && ladder_residue(m, i) != 0) nonzero = true;
-  });
-  return !nonzero;
+  const std::size_t n = m.rows();
+  // A zero row or column settles it without a prime.
+  return nonzero_lines_bound(m) < n || certified_rank(m, n) < n;
 }
 
 }  // namespace ccmx::la

@@ -1,5 +1,8 @@
 #include "linalg/rref.hpp"
 
+#include <algorithm>
+
+#include "linalg/det_crt.hpp"
 #include "util/require.hpp"
 
 namespace ccmx::la {
@@ -35,7 +38,7 @@ RrefResult rref(const RatMatrix& m) {
   return out;
 }
 
-std::size_t rank(const IntMatrix& m) {
+std::size_t rank_bareiss(const IntMatrix& m) {
   // Fraction-free elimination with full pivoting; counts pivots.
   IntMatrix a = m;
   const std::size_t rows = a.rows();
@@ -68,6 +71,11 @@ std::size_t rank(const IntMatrix& m) {
     ++r;
   }
   return r;
+}
+
+std::size_t rank(const IntMatrix& m) {
+  return std::min(m.rows(), m.cols()) < kRankCrtCrossover ? rank_bareiss(m)
+                                                          : rank_crt(m);
 }
 
 std::size_t rank(const RatMatrix& m) { return rref(m).rank(); }
@@ -108,10 +116,6 @@ std::optional<std::vector<Rational>> solve(const RatMatrix& m,
     x[result.pivot_cols[r]] = result.rref(r, m.cols());
   }
   return x;
-}
-
-bool in_column_span(const RatMatrix& m, const std::vector<Rational>& v) {
-  return solve(m, v).has_value();
 }
 
 RatMatrix column_span_canonical(const RatMatrix& m) {

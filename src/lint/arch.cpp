@@ -1,17 +1,14 @@
 #include "lint/arch.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <map>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "lint/scan.hpp"
-#include "obs/schemas.hpp"
 #include "util/parallel.hpp"
 #include "util/require.hpp"
 
@@ -21,7 +18,6 @@ namespace fs = std::filesystem;
 
 using detail::is_blank;
 using detail::ScannedLine;
-using detail::thread_cpu_seconds;
 using detail::trim;
 
 namespace {
@@ -50,7 +46,7 @@ const std::vector<ModuleSpec>& module_specs() {
       {"protocols", 4, false, {"util", "bigint", "linalg", "comm"}},
       {"vlsi", 4, false, {"util", "bigint", "linalg"}},
       {"obs", 5, false, {"util"}},
-      {"lint", 6, false, {"util", "obs"}},
+      {"lint", 6, false, {"util"}},
       {"tools", kTopLayer, true, {}},
       {"tests", kTopLayer, true, {}},
       {"bench", kTopLayer, true, {}},
@@ -119,8 +115,6 @@ struct FileData {
   /// Names of file-scope (namespace-scope) mutable variables: non-const,
   /// non-atomic, no synchronization primitive in the declaration.
   std::vector<std::string> mutable_state;
-  double scan_wall = 0.0;
-  double scan_cpu = 0.0;
 };
 
 bool is_keyword(std::string_view t) {
@@ -551,7 +545,6 @@ struct Occurrence {
 };
 
 struct Reporter {
-  const Baseline& baseline;
   ArchResult& out;
 
   void report(std::string_view rule, const FileData& fd, std::size_t line,
@@ -570,15 +563,14 @@ struct Reporter {
         idx < fd.lines.size() ? trim(fd.lines[idx].code) : std::string();
     // The lexer routes the include path into the string stream, leaving
     // `#include ""` in the code stream; splice the path back so snippets
-    // are readable and fingerprints distinguish includes on equal lines.
+    // are readable.
     if (idx < fd.lines.size() && !fd.lines[idx].strings.empty()) {
       const std::size_t quotes = f.snippet.find("\"\"");
       if (quotes != std::string::npos) {
         f.snippet.insert(quotes + 1, fd.lines[idx].strings.front());
       }
     }
-    (baseline.contains(f) ? out.baselined : out.findings)
-        .push_back(std::move(f));
+    out.findings.push_back(std::move(f));
   }
 
   /// Edge-shaped findings anchor at the first occurrence that is not
@@ -595,18 +587,6 @@ struct Reporter {
     if (!occurrences.empty()) ++out.suppressed;
   }
 };
-
-/// A timed serial phase; wall and thread-CPU both attributed to `rule`.
-template <class Fn>
-void timed_phase(std::vector<RuleTiming>& timings, std::string rule, Fn fn) {
-  const auto wall0 = std::chrono::steady_clock::now();
-  const double cpu0 = thread_cpu_seconds();
-  fn();
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall0;
-  timings.push_back(
-      {std::move(rule), wall.count(), thread_cpu_seconds() - cpu0});
-}
 
 // ------------------------------------------------- A1..A3 module graph
 
@@ -690,27 +670,22 @@ std::vector<std::vector<std::string>> cycles_of(
 
 const std::vector<RuleInfo>& arch_rules() {
   static const std::vector<RuleInfo> kRules = {
-      {"cycle", "a1", "the module dependency graph must be acyclic", 1},
+      {"cycle", "a1", "the module dependency graph must be acyclic"},
       {"layering", "a2",
        "a module may only include same- or lower-layer modules (obs from "
-       "below only via its compile-out macro surface)",
-       1},
+       "below only via its compile-out macro surface)"},
       {"undeclared-edge", "a3",
        "every module->module include edge must be declared in the layering "
-       "table (src/lint/arch.cpp)",
-       1},
+       "table (src/lint/arch.cpp)"},
       {"dead-export", "a4",
        "a function declared in a src/ header must be referenced by some TU "
-       "beyond the header and its paired .cpp",
-       1},
+       "beyond the header and its paired .cpp"},
       {"unused-include", "a5",
        "an #include of a repo header must contribute at least one "
-       "referenced symbol to the including file",
-       1},
+       "referenced symbol to the including file"},
       {"thread-safety", "a6",
        "a function documented thread-safe must not touch file-scope "
-       "mutable state without std::atomic/mutex tokens in scope",
-       1},
+       "mutable state without std::atomic/mutex tokens in scope"},
   };
   return kRules;
 }
@@ -719,9 +694,6 @@ ArchResult run_arch(const ArchOptions& options) {
   const fs::path root(options.root);
   CCMX_REQUIRE(fs::is_directory(root),
                "arch root is not a directory: " + options.root);
-  const Baseline baseline = options.baseline_path.empty()
-                                ? Baseline{}
-                                : Baseline::load(options.baseline_path);
 
   const std::vector<fs::path> paths =
       detail::collect_files(root, options.subdirs);
@@ -737,8 +709,6 @@ ArchResult run_arch(const ArchOptions& options) {
   // downstream pass walks `files` in sorted path order, so the result is
   // independent of the parallel degree.
   util::parallel_for(0, paths.size(), [&](std::size_t i) {
-    const auto wall0 = std::chrono::steady_clock::now();
-    const double cpu0 = thread_cpu_seconds();
     FileData& fd = files[i];
     fd.module = module_of(fd.rel);
     fd.is_header = fd.rel.size() > 4 &&
@@ -751,25 +721,15 @@ ArchResult run_arch(const ArchOptions& options) {
     for (IncludeRef& inc : fd.includes) {
       inc.resolved = resolve_include(inc.spelled, fd.rel, all_rels);
     }
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - wall0;
-    fd.scan_wall = wall.count();
-    fd.scan_cpu = thread_cpu_seconds() - cpu0;
   });
 
   ArchResult result;
   result.files_scanned = files.size();
-  RuleTiming scan_total{"scan", 0.0, 0.0};
-  for (const FileData& fd : files) {
-    scan_total.wall_seconds += fd.scan_wall;
-    scan_total.cpu_seconds += fd.scan_cpu;
-  }
-  result.timings.push_back(scan_total);
 
   std::unordered_map<std::string, const FileData*> by_rel;
   for (const FileData& fd : files) by_rel[fd.rel] = &fd;
 
-  Reporter rep{baseline, result};
+  Reporter rep{result};
 
   // ---- module graph: edges with provenance, module summaries --------
   EdgeMap edges;          // all cross-module edges (incl. macro surface)
@@ -816,7 +776,7 @@ ArchResult run_arch(const ArchOptions& options) {
             });
 
   // ---- A1 cycle ------------------------------------------------------
-  timed_phase(result.timings, "cycle", [&] {
+  {
     std::map<std::string, std::set<std::string>> graph;
     for (const auto& [key, occs] : checked_edges) {
       (void)occs;
@@ -842,10 +802,10 @@ ArchResult run_arch(const ArchOptions& options) {
       rep.report_at_first("cycle", occs,
                           "module dependency cycle: " + path);
     }
-  });
+  }
 
   // ---- A2 layering / A3 undeclared-edge ------------------------------
-  timed_phase(result.timings, "layering", [&] {
+  {
     for (const auto& [key, occs] : checked_edges) {
       const ModuleSpec* from = find_spec(key.first);
       const ModuleSpec* to = find_spec(key.second);
@@ -859,9 +819,9 @@ ArchResult run_arch(const ArchOptions& options) {
               std::to_string(occs.size()) + " include(s); only obs's " +
               "compile-out macro surface may be reached from below");
     }
-  });
+  }
 
-  timed_phase(result.timings, "undeclared-edge", [&] {
+  {
     for (const auto& [key, occs] : checked_edges) {
       const ModuleSpec* from = find_spec(key.first);
       const ModuleSpec* to = find_spec(key.second);
@@ -887,10 +847,10 @@ ArchResult run_arch(const ArchOptions& options) {
               " include(s)) is direction-legal but missing from the " +
               "declared dependency table (src/lint/arch.cpp)");
     }
-  });
+  }
 
   // ---- A4 dead-export ------------------------------------------------
-  timed_phase(result.timings, "dead-export", [&] {
+  {
     for (const FileData& fd : files) {
       if (!fd.is_header || fd.rel.rfind("src/", 0) != 0) continue;
       const std::string paired = paired_source(fd.rel);
@@ -937,10 +897,10 @@ ArchResult run_arch(const ArchOptions& options) {
                        "and its paired source");
       }
     }
-  });
+  }
 
   // ---- A5 unused-include ---------------------------------------------
-  timed_phase(result.timings, "unused-include", [&] {
+  {
     for (const FileData& fd : files) {
       for (const IncludeRef& inc : fd.includes) {
         if (inc.resolved.empty()) continue;
@@ -963,10 +923,10 @@ ArchResult run_arch(const ArchOptions& options) {
                        "\" contributes no referenced symbols to this file");
       }
     }
-  });
+  }
 
   // ---- A6 thread-safety ----------------------------------------------
-  timed_phase(result.timings, "thread-safety", [&] {
+  {
     static const std::regex kThreadSafe(R"([Tt]hread-?\s?[Ss]afe)");
     for (const FileData& fd : files) {
       if (!fd.is_header || fd.rel.rfind("src/", 0) != 0) continue;
@@ -1070,142 +1030,14 @@ ArchResult run_arch(const ArchOptions& options) {
         }
       }
     }
-  });
+  }
 
   std::sort(result.findings.begin(), result.findings.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.file, a.line, a.rule) <
                      std::tie(b.file, b.line, b.rule);
             });
-  std::sort(result.baselined.begin(), result.baselined.end(),
-            [](const Finding& a, const Finding& b) {
-              return std::tie(a.file, a.line, a.rule) <
-                     std::tie(b.file, b.line, b.rule);
-            });
   return result;
-}
-
-std::string render_arch_report_json(const ArchResult& result,
-                                    const ArchOptions& options) {
-  std::ostringstream os;
-  obs::json::Writer w(os);
-  w.begin_object();
-  w.key("schema").value(obs::kArchReportSchema);
-  w.key("root").value(options.root);
-  w.key("subdirs").begin_array();
-  for (const std::string& s : options.subdirs) w.value(s);
-  w.end_array();
-  w.key("files_scanned").value(std::uint64_t{result.files_scanned});
-  w.key("include_edges").value(std::uint64_t{result.include_edges});
-  w.key("suppressed").value(std::uint64_t{result.suppressed});
-  w.key("baselined").value(std::uint64_t{result.baselined.size()});
-  std::map<std::string, std::uint64_t> counts;
-  for (const RuleInfo& rule : arch_rules()) counts[std::string(rule.name)] = 0;
-  for (const Finding& f : result.findings) ++counts[f.rule];
-  w.key("counts").begin_object();
-  for (const auto& [rule, count] : counts) w.key(rule).value(count);
-  w.end_object();
-  w.key("modules").begin_array();
-  for (const ModuleSummary& m : result.modules) {
-    w.begin_object();
-    w.key("name").value(m.name);
-    w.key("layer").value(std::int64_t{m.layer});
-    w.key("files").value(std::uint64_t{m.files});
-    w.key("fan_out").value(std::uint64_t{m.deps.size()});
-    w.key("fan_in").value(std::uint64_t{m.dependents.size()});
-    w.key("deps").begin_array();
-    for (const std::string& d : m.deps) w.value(d);
-    w.end_array();
-    w.key("dependents").begin_array();
-    for (const std::string& d : m.dependents) w.value(d);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  detail::write_timings_json(w, result.timings);
-  w.key("findings").begin_array();
-  for (const Finding& f : result.findings) {
-    w.begin_object();
-    w.key("rule").value(f.rule);
-    w.key("file").value(f.file);
-    w.key("line").value(std::uint64_t{f.line});
-    w.key("message").value(f.message);
-    w.key("snippet").value(f.snippet);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  os << '\n';
-  return os.str();
-}
-
-std::vector<std::string> validate_arch_report(const obs::json::Value& doc) {
-  std::vector<std::string> problems;
-  if (!doc.is_object()) {
-    problems.emplace_back("document is not an object");
-    return problems;
-  }
-  const obs::json::Value* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string()) {
-    problems.emplace_back("missing string \"schema\"");
-  } else if (schema->string != obs::kArchReportSchema) {
-    problems.push_back("schema is \"" + schema->string + "\", expected \"" +
-                       std::string(obs::kArchReportSchema) + "\"");
-  }
-  for (const char* key :
-       {"files_scanned", "include_edges", "suppressed", "baselined"}) {
-    const obs::json::Value* v = doc.find(key);
-    if (v == nullptr || !v->is_number()) {
-      problems.push_back(std::string("missing number \"") + key + "\"");
-    }
-  }
-  const obs::json::Value* modules = doc.find("modules");
-  if (modules == nullptr || !modules->is_array()) {
-    problems.emplace_back("missing array \"modules\"");
-  } else {
-    for (std::size_t i = 0; i < modules->array.size(); ++i) {
-      const obs::json::Value& m = modules->array[i];
-      const std::string where = "modules[" + std::to_string(i) + "]";
-      if (!m.is_object()) {
-        problems.push_back(where + " is not an object");
-        continue;
-      }
-      const obs::json::Value* name = m.find("name");
-      if (name == nullptr || !name->is_string()) {
-        problems.push_back(where + " missing string \"name\"");
-      }
-      for (const char* key : {"layer", "files", "fan_out", "fan_in"}) {
-        const obs::json::Value* v = m.find(key);
-        if (v == nullptr || !v->is_number()) {
-          problems.push_back(where + " missing number \"" + key + "\"");
-        }
-      }
-    }
-  }
-  const obs::json::Value* findings = doc.find("findings");
-  if (findings == nullptr || !findings->is_array()) {
-    problems.emplace_back("missing array \"findings\"");
-    return problems;
-  }
-  for (std::size_t i = 0; i < findings->array.size(); ++i) {
-    const obs::json::Value& f = findings->array[i];
-    const std::string where = "findings[" + std::to_string(i) + "]";
-    if (!f.is_object()) {
-      problems.push_back(where + " is not an object");
-      continue;
-    }
-    for (const char* key : {"rule", "file", "message", "snippet"}) {
-      const obs::json::Value* v = f.find(key);
-      if (v == nullptr || !v->is_string()) {
-        problems.push_back(where + " missing string \"" + key + "\"");
-      }
-    }
-    const obs::json::Value* line = f.find("line");
-    if (line == nullptr || !line->is_number()) {
-      problems.push_back(where + " missing number \"line\"");
-    }
-  }
-  return problems;
 }
 
 }  // namespace ccmx::lint

@@ -31,18 +31,15 @@
 //
 // Like the lexical rules, everything here is token-level by design (no
 // libclang): the heuristics are documented in docs/STATIC_ANALYSIS.md and
-// the escape hatches are shared with ccmx_lint — `// ccmx-lint:
-// allow(<rule>)` on (or one line above) the reported line, and a
-// committed content-fingerprint baseline (tools/arch_baseline.txt).
+// the one escape hatch is shared with ccmx_lint — `// ccmx-lint:
+// allow(<rule>)` on (or one line above) the reported line.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "lint/lint.hpp"
-#include "obs/json.hpp"
 
 namespace ccmx::lint {
 
@@ -66,18 +63,14 @@ struct ArchOptions {
   std::string root = ".";
   std::vector<std::string> subdirs = {"src",   "bench",    "tools",
                                       "tests", "examples"};
-  /// Empty = no baseline filtering.
-  std::string baseline_path;
 };
 
 struct ArchResult {
-  std::vector<Finding> findings;   // active (gate-failing) findings
-  std::vector<Finding> baselined;  // matched the baseline, tolerated
+  std::vector<Finding> findings;  // every one fails the gate
   std::vector<ModuleSummary> modules;
   std::size_t files_scanned = 0;
   std::size_t include_edges = 0;  // resolved repo-internal includes
   std::size_t suppressed = 0;
-  std::vector<RuleTiming> timings;  // "scan" phase + one row per rule
 };
 
 /// Runs the whole-tree analysis.  The file walk is shared with run_lint
@@ -85,13 +78,5 @@ struct ArchResult {
 /// util::parallel_for; results are deterministic regardless of degree.
 /// Throws util::contract_error when `root` is not a directory.
 [[nodiscard]] ArchResult run_arch(const ArchOptions& options);
-
-/// ccmx.arch_report/1 JSON document (one object, trailing newline).
-[[nodiscard]] std::string render_arch_report_json(const ArchResult& result,
-                                                  const ArchOptions& options);
-
-/// Schema check for a parsed ccmx.arch_report/1 document; empty = valid.
-[[nodiscard]] std::vector<std::string> validate_arch_report(
-    const obs::json::Value& doc);
 
 }  // namespace ccmx::lint

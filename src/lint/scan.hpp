@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "lint/lint.hpp"
-#include "obs/json.hpp"
 
 namespace ccmx::lint::detail {
 
@@ -36,8 +35,8 @@ struct ScannedLine {
 [[nodiscard]] bool is_blank(std::string_view s);
 [[nodiscard]] std::string trim(std::string_view s);
 
-/// Collapses runs of whitespace to single spaces (fingerprint
-/// normalization, so re-indentation does not invalidate a baseline).
+/// Collapses runs of whitespace to single spaces (so R1 compares type
+/// spellings like `unsigned  int` by their tokens).
 [[nodiscard]] std::string squash(std::string_view s);
 
 /// Forward slashes, no leading "./" — the repo-relative path form every
@@ -65,14 +64,5 @@ struct ScannedLine {
 
 /// Whole file as a string; throws util::contract_error when unreadable.
 [[nodiscard]] std::string read_file(const std::filesystem::path& file);
-
-/// Emits the "timings" array shared by the lint and arch reports.
-void write_timings_json(obs::json::Writer& w,
-                        const std::vector<RuleTiming>& timings);
-
-/// CPU time of the calling thread — per-rule attribution inside a
-/// parallel scan must not count sibling workers, so the process clock
-/// (util::WallTimer::cpu_seconds) is the wrong instrument here.
-[[nodiscard]] double thread_cpu_seconds();
 
 }  // namespace ccmx::lint::detail

@@ -23,15 +23,6 @@ inline constexpr std::string_view kRunReportSchema = "ccmx.run_report/1";
 /// perf gate artifact (see obs/analysis.hpp).
 inline constexpr std::string_view kBenchDiffSchema = "ccmx.bench_diff/1";
 
-/// Findings of the project-invariant static-analysis pass — `ccmx_lint`
-/// (see lint/lint.hpp).
-inline constexpr std::string_view kLintReportSchema = "ccmx.lint_report/1";
-
-/// Findings of the whole-repo architecture analysis — module include
-/// graph vs the declared layering plus the symbol cross-reference —
-/// `ccmx_lint arch` (see lint/arch.hpp).
-inline constexpr std::string_view kArchReportSchema = "ccmx.arch_report/1";
-
 /// Chrome trace-event JSON converted from a ccmx JSONL trace —
 /// `ccmx_insight trace --chrome` (see obs/trace_reader.hpp).  The
 /// document is the trace-event "object format" with this schema id as an
@@ -43,20 +34,5 @@ inline constexpr std::string_view kChromeTraceSchema = "ccmx.chrome_trace/1";
 /// referencing frames by id, and a closing "ledger" row whose
 /// conservation invariant is captured == written + dropped.
 inline constexpr std::string_view kProfileSchema = "ccmx.profile/1";
-
-/// Every schema id this repo may stamp into a document, for validators
-/// that only need to know "is this one of ours".
-inline constexpr std::string_view kRegisteredSchemas[] = {
-    kRunReportSchema,  kBenchDiffSchema,   kLintReportSchema,
-    kArchReportSchema, kChromeTraceSchema, kProfileSchema,
-};
-
-[[nodiscard]] constexpr bool is_registered_schema(
-    std::string_view schema) noexcept {
-  for (const std::string_view known : kRegisteredSchemas) {
-    if (known == schema) return true;
-  }
-  return false;
-}
 
 }  // namespace ccmx::obs

@@ -7,14 +7,6 @@
 //       Prints a markdown summary, optionally writes ccmx.bench_diff/1
 //       JSON (--json) and markdown (--md).  Exit 1 when any cpu_time
 //       regression survives the thresholds — the CI perf gate.
-//   lint FILE
-//       Validate and summarize a ccmx_lint JSON report (exit 1 when it
-//       carries non-baselined findings).
-//   arch FILE
-//       Validate and summarize a `ccmx_lint arch --json` report: the
-//       module table (layer, files, fan-in/fan-out) plus any open
-//       findings (exit 1 when the report carries non-baselined
-//       findings).
 //   trace FILE [--report BENCH.json] [--chrome OUT.json]
 //       Parse a JSONL channel trace, print per-channel / per-round /
 //       per-agent traffic plus the reconstructed span trees, and (with
@@ -61,8 +53,6 @@
 #include "comm/channel.hpp"
 #include "comm/partition.hpp"
 #include "linalg/convert.hpp"
-#include "lint/arch.hpp"
-#include "lint/lint.hpp"
 #include "obs/analysis.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -80,7 +70,7 @@ using namespace ccmx;
 int usage() {
   std::cerr <<
       "usage: ccmx_insight "
-      "<diff|trace|profile|fit|lint|arch>"
+      "<diff|trace|profile|fit>"
       " ...\n"
       "  diff --baseline DIR --candidate DIR [--json PATH] [--md PATH]\n"
       "       [--cpu-tol F=0.20] [--counter-tol F=0.25] [--rss-tol F=0.30]\n"
@@ -88,9 +78,7 @@ int usage() {
       "       [--allow-missing-baseline]\n"
       "  trace FILE [--report BENCH.json] [--chrome OUT.json]\n"
       "  profile FILE [--top N=15] [--collapsed OUT] [--trace TRACE.jsonl]\n"
-      "  fit --law send-half|fingerprint [--seed N=7] [--max-dev F]\n"
-      "  lint FILE\n"
-      "  arch FILE\n";
+      "  fit --law send-half|fingerprint [--seed N=7] [--max-dev F]\n";
   return 2;
 }
 
@@ -226,132 +214,6 @@ int cmd_diff(Args& args) {
     }
   }
   return diff.has_cpu_regression() || diff.has_insn_regression() ? 1 : 0;
-}
-
-// ---------------------------------------------------------------- lint
-
-int cmd_lint(Args& args) {
-  const auto report_path = args.positional();
-  if (!report_path) return usage();
-  std::ifstream in(*report_path, std::ios::binary);
-  if (!in.is_open()) {
-    std::cerr << "error: cannot open " << *report_path << '\n';
-    return 2;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  obs::json::Value doc;
-  try {
-    doc = obs::json::parse(buffer.str());
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << *report_path << ": " << e.what() << '\n';
-    return 2;
-  }
-  const std::vector<std::string> problems = lint::validate_lint_report(doc);
-  if (!problems.empty()) {
-    std::cerr << "error: " << *report_path << " is not a valid lint report\n";
-    for (const std::string& p : problems) std::cerr << "  " << p << '\n';
-    return 2;
-  }
-  const obs::json::Value* findings = doc.find("findings");
-  const obs::json::Value* counts = doc.find("counts");
-  std::cout << "lint report: " << *report_path << " — "
-            << findings->array.size() << " finding(s)\n";
-  if (counts != nullptr && counts->is_object()) {
-    util::TextTable table({"rule", "findings"});
-    for (const auto& [rule, value] : counts->object) {
-      if (value.is_number() && value.number > 0) {
-        table.row(rule, static_cast<std::uint64_t>(value.number));
-      }
-    }
-    table.print(std::cout);
-  }
-  for (const obs::json::Value& f : findings->array) {
-    const obs::json::Value* file = f.find("file");
-    const obs::json::Value* line = f.find("line");
-    const obs::json::Value* rule = f.find("rule");
-    const obs::json::Value* message = f.find("message");
-    std::cout << "  " << file->string << ":"
-              << static_cast<std::uint64_t>(line->number) << " ["
-              << rule->string << "] " << message->string << '\n';
-  }
-  return findings->array.empty() ? 0 : 1;
-}
-
-// ---------------------------------------------------------------- arch
-
-/// Parses PATH as JSON and checks it against ccmx.arch_report/1;
-/// prints the problems and returns nullopt when it does not conform.
-std::optional<obs::json::Value> load_arch_report(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    std::cerr << "error: cannot open " << path << '\n';
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  obs::json::Value doc;
-  try {
-    doc = obs::json::parse(buffer.str());
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << path << ": " << e.what() << '\n';
-    return std::nullopt;
-  }
-  const std::vector<std::string> problems = lint::validate_arch_report(doc);
-  if (!problems.empty()) {
-    std::cerr << "error: " << path << " is not a valid arch report\n";
-    for (const std::string& p : problems) std::cerr << "  " << p << '\n';
-    return std::nullopt;
-  }
-  return doc;
-}
-
-int cmd_arch(Args& args) {
-  const auto report_path = args.positional();
-  if (!report_path) return usage();
-  const std::optional<obs::json::Value> doc = load_arch_report(*report_path);
-  if (!doc) return 2;
-
-  const obs::json::Value* findings = doc->find("findings");
-  std::cout << "arch report: " << *report_path << " — "
-            << static_cast<std::uint64_t>(doc->find("files_scanned")->number)
-            << " file(s), "
-            << static_cast<std::uint64_t>(doc->find("include_edges")->number)
-            << " include edge(s), " << findings->array.size()
-            << " finding(s)\n";
-
-  const obs::json::Value* modules = doc->find("modules");
-  if (modules != nullptr && modules->is_array() && !modules->array.empty()) {
-    util::TextTable table(
-        {"module", "layer", "files", "fan-out", "fan-in", "depends on"});
-    for (const obs::json::Value& row : modules->array) {
-      if (!row.is_object()) continue;
-      std::string deps;
-      const obs::json::Value* dep_list = row.find("deps");
-      if (dep_list != nullptr && dep_list->is_array()) {
-        for (const obs::json::Value& dep : dep_list->array) {
-          if (!dep.is_string()) continue;
-          if (!deps.empty()) deps += ", ";
-          deps += dep.string;
-        }
-      }
-      table.row(row.find("name")->string,
-                static_cast<std::int64_t>(row.find("layer")->number),
-                static_cast<std::uint64_t>(row.find("files")->number),
-                static_cast<std::uint64_t>(row.find("fan_out")->number),
-                static_cast<std::uint64_t>(row.find("fan_in")->number),
-                deps.empty() ? "—" : deps);
-    }
-    table.print(std::cout);
-  }
-
-  for (const obs::json::Value& f : findings->array) {
-    std::cout << "  " << f.find("file")->string << ":"
-              << static_cast<std::uint64_t>(f.find("line")->number) << " ["
-              << f.find("rule")->string << "] " << f.find("message")->string
-              << '\n';
-  }
-  return findings->array.empty() ? 0 : 1;
 }
 
 // --------------------------------------------------------------- trace
@@ -868,8 +730,6 @@ int main(int argc, char** argv) {
     if (cmd == "trace") return cmd_trace(args);
     if (cmd == "profile") return cmd_profile(args);
     if (cmd == "fit") return cmd_fit(args);
-    if (cmd == "lint") return cmd_lint(args);
-    if (cmd == "arch") return cmd_arch(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 2;

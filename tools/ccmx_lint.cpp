@@ -1,30 +1,25 @@
 // ccmx_lint — CLI for the project-invariant static-analysis passes.
 //
-//   ccmx_lint      [--root DIR] [--subdir D ...] [--baseline FILE]
-//                  [--write-baseline] [--fix] [--json PATH]
-//                  [--list-rules] [--quiet]
-//   ccmx_lint arch [--root DIR] [--subdir D ...] [--baseline FILE]
-//                  [--write-baseline] [--json PATH] [--list-rules]
-//                  [--quiet]
+//   ccmx_lint      [--root DIR] [--subdir D ...] [--list-rules] [--quiet]
+//   ccmx_lint arch [--root DIR] [--subdir D ...] [--list-rules] [--quiet]
 //
 // The bare form runs the per-file lexical rules R1–R7 (lint/lint.hpp);
 // `ccmx_lint arch` runs the whole-repo architecture pass A1–A6
 // (lint/arch.hpp) — include graph vs the declared layering plus the
-// symbol cross-reference.  Exit status for both: 0 = clean (no
-// non-baselined findings), 1 = findings, 2 = usage or I/O error.  The
-// default baselines are <root>/tools/lint_baseline.txt and
-// <root>/tools/arch_baseline.txt (a missing file is an empty baseline),
-// so CI can run both modes from the repo root with no flags.
+// symbol cross-reference — and prints the module table (layer, files,
+// fan-out, fan-in, deps) above its findings.  Exit status for both:
+// 0 = clean, 1 = findings, 2 = usage or I/O error.  A
+// `// ccmx-lint: allow(<rule>)` comment is the only way to silence a
+// finding, so CI runs both modes from the repo root with no flags.
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint/arch.hpp"
 #include "lint/lint.hpp"
+#include "util/table.hpp"
 
 namespace {
 
@@ -36,44 +31,46 @@ void print_usage(std::ostream& os) {
         "  --subdir D         scan only this subdir; repeatable\n"
         "                     (default: src bench tools tests; arch mode\n"
         "                     adds examples)\n"
-        "  --baseline FILE    baseline file (default: <root>/tools/\n"
-        "                     lint_baseline.txt, arch_baseline.txt for arch)\n"
-        "  --no-baseline      ignore any baseline file\n"
-        "  --write-baseline   rewrite the baseline from current findings\n"
-        "  --fix              lexical mode only: insert missing #pragma\n"
-        "                     once into offending headers (rule R6)\n"
-        "  --json PATH        also write the machine-readable report\n"
-        "                     (obs::kLintReportSchema / kArchReportSchema)\n"
         "  --list-rules       print the rule table and exit\n"
-        "  --quiet            summary line only, no per-finding output\n";
+        "  --quiet            summary line only (no findings, no module\n"
+        "                     table)\n";
 }
 
-void print_findings(const std::vector<ccmx::lint::Finding>& findings,
-                    std::string_view tag) {
+void print_findings(const std::vector<ccmx::lint::Finding>& findings) {
   for (const ccmx::lint::Finding& f : findings) {
-    std::cout << f.file << ":" << f.line << ": [" << f.rule << "]" << tag
-              << " " << f.message << "\n";
+    std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
+              << f.message << "\n";
     if (!f.snippet.empty()) std::cout << "    " << f.snippet << "\n";
   }
 }
 
 void print_rules(const std::vector<ccmx::lint::RuleInfo>& rules) {
   for (const ccmx::lint::RuleInfo& rule : rules) {
-    std::cout << rule.alias << "  " << rule.name << " (v" << rule.version
-              << ")\n    " << rule.summary << "\n";
+    std::cout << rule.alias << "  " << rule.name << "\n    " << rule.summary
+              << "\n";
   }
+}
+
+void print_modules(const std::vector<ccmx::lint::ModuleSummary>& modules) {
+  ccmx::util::TextTable table(
+      {"module", "layer", "files", "fan-out", "fan-in", "depends on"});
+  for (const ccmx::lint::ModuleSummary& m : modules) {
+    std::string deps;
+    for (const std::string& dep : m.deps) {
+      if (!deps.empty()) deps += ", ";
+      deps += dep;
+    }
+    table.row(m.name, m.layer, m.files, m.deps.size(), m.dependents.size(),
+              deps.empty() ? "—" : deps);
+  }
+  table.print(std::cout);
 }
 
 struct CommonArgs {
   std::string root = ".";
   std::vector<std::string> subdirs;  // empty = mode default
-  std::string baseline_path;
-  bool no_baseline = false;
-  bool write_baseline = false;
-  bool fix = false;
   bool quiet = false;
   bool list_rules = false;
-  std::string json_path;
 };
 
 int parse_args(int argc, char** argv, int first, CommonArgs& args) {
@@ -90,16 +87,6 @@ int parse_args(int argc, char** argv, int first, CommonArgs& args) {
       args.root = next();
     } else if (arg == "--subdir") {
       args.subdirs.push_back(next());
-    } else if (arg == "--baseline") {
-      args.baseline_path = next();
-    } else if (arg == "--no-baseline") {
-      args.no_baseline = true;
-    } else if (arg == "--write-baseline") {
-      args.write_baseline = true;
-    } else if (arg == "--fix") {
-      args.fix = true;
-    } else if (arg == "--json") {
-      args.json_path = next();
     } else if (arg == "--quiet") {
       args.quiet = true;
     } else if (arg == "--list-rules") {
@@ -116,74 +103,6 @@ int parse_args(int argc, char** argv, int first, CommonArgs& args) {
   return 0;
 }
 
-int write_baseline_file(const std::string& path, const std::string& content,
-                        std::size_t count) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::cerr << "ccmx_lint: cannot write " << path << "\n";
-    return 2;
-  }
-  out << content;
-  std::cout << "ccmx_lint: wrote " << count << " fingerprint(s) to " << path
-            << "\n";
-  return 0;
-}
-
-int write_json_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::cerr << "ccmx_lint: cannot write " << path << "\n";
-    return 2;
-  }
-  out << content;
-  return 0;
-}
-
-/// Applies the R6 fix to every offending header in `result` (active and
-/// baselined alike — the fix is mechanical) and reports what happened.
-/// Returns the number of files rewritten.
-std::size_t apply_pragma_fixes(const ccmx::lint::RunResult& result,
-                               const std::string& root) {
-  std::size_t fixed = 0;
-  std::vector<ccmx::lint::Finding> all = result.findings;
-  all.insert(all.end(), result.baselined.begin(), result.baselined.end());
-  for (const ccmx::lint::Finding& f : all) {
-    if (f.rule != "include-hygiene") continue;
-    const std::string path = root + "/" + f.file;
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-      std::cerr << "ccmx_lint: --fix cannot read " << path << "\n";
-      continue;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    in.close();
-    const ccmx::lint::FixOutcome outcome =
-        ccmx::lint::fix_pragma_once(buffer.str());
-    switch (outcome.status) {
-      case ccmx::lint::FixOutcome::Status::kFixed: {
-        std::ofstream out(path, std::ios::trunc | std::ios::binary);
-        if (!out.is_open()) {
-          std::cerr << "ccmx_lint: --fix cannot write " << path << "\n";
-          break;
-        }
-        out << outcome.text;
-        std::cout << "ccmx_lint: fixed " << f.file
-                  << " (inserted #pragma once)\n";
-        ++fixed;
-        break;
-      }
-      case ccmx::lint::FixOutcome::Status::kRefused:
-        std::cout << "ccmx_lint: refusing to fix " << f.file
-                  << " — it carries an allow(include-hygiene) suppression\n";
-        break;
-      case ccmx::lint::FixOutcome::Status::kAlreadyClean:
-        break;
-    }
-  }
-  return fixed;
-}
-
 int run_lexical_mode(const CommonArgs& args) {
   if (args.list_rules) {
     print_rules(ccmx::lint::rules());
@@ -192,42 +111,10 @@ int run_lexical_mode(const CommonArgs& args) {
   ccmx::lint::RunOptions options;
   options.root = args.root;
   if (!args.subdirs.empty()) options.subdirs = args.subdirs;
-  options.baseline_path = args.baseline_path;
-  if (options.baseline_path.empty() && !args.no_baseline) {
-    options.baseline_path = options.root + "/tools/lint_baseline.txt";
-  }
-  if (args.no_baseline) options.baseline_path.clear();
-
-  ccmx::lint::RunResult result = ccmx::lint::run_lint(options);
-
-  if (args.fix) {
-    const std::size_t fixed = apply_pragma_fixes(result, options.root);
-    if (fixed > 0) result = ccmx::lint::run_lint(options);  // re-lint
-  }
-
-  if (args.write_baseline) {
-    std::vector<ccmx::lint::Finding> all = result.findings;
-    all.insert(all.end(), result.baselined.begin(), result.baselined.end());
-    const std::string path = options.baseline_path.empty()
-                                 ? options.root + "/tools/lint_baseline.txt"
-                                 : options.baseline_path;
-    return write_baseline_file(
-        path, ccmx::lint::Baseline::from_findings(all).render(), all.size());
-  }
-
-  if (!args.json_path.empty()) {
-    const int rc = write_json_file(
-        args.json_path, ccmx::lint::render_lint_report_json(result, options));
-    if (rc != 0) return rc;
-  }
-
-  if (!args.quiet) {
-    print_findings(result.findings, "");
-    print_findings(result.baselined, " (baselined)");
-  }
+  const ccmx::lint::RunResult result = ccmx::lint::run_lint(options);
+  if (!args.quiet) print_findings(result.findings);
   std::cout << "ccmx_lint: " << result.files_scanned << " file(s), "
-            << result.findings.size() << " finding(s), "
-            << result.baselined.size() << " baselined, " << result.suppressed
+            << result.findings.size() << " finding(s), " << result.suppressed
             << " suppressed\n";
   return result.findings.empty() ? 0 : 1;
 }
@@ -237,46 +124,18 @@ int run_arch_mode(const CommonArgs& args) {
     print_rules(ccmx::lint::arch_rules());
     return 0;
   }
-  if (args.fix) {
-    std::cerr << "ccmx_lint: --fix applies to the lexical mode only\n";
-    return 2;
-  }
   ccmx::lint::ArchOptions options;
   options.root = args.root;
   if (!args.subdirs.empty()) options.subdirs = args.subdirs;
-  options.baseline_path = args.baseline_path;
-  if (options.baseline_path.empty() && !args.no_baseline) {
-    options.baseline_path = options.root + "/tools/arch_baseline.txt";
-  }
-  if (args.no_baseline) options.baseline_path.clear();
-
   const ccmx::lint::ArchResult result = ccmx::lint::run_arch(options);
-
-  if (args.write_baseline) {
-    std::vector<ccmx::lint::Finding> all = result.findings;
-    all.insert(all.end(), result.baselined.begin(), result.baselined.end());
-    const std::string path = options.baseline_path.empty()
-                                 ? options.root + "/tools/arch_baseline.txt"
-                                 : options.baseline_path;
-    return write_baseline_file(
-        path, ccmx::lint::Baseline::from_findings(all).render(), all.size());
-  }
-
-  if (!args.json_path.empty()) {
-    const int rc = write_json_file(
-        args.json_path, ccmx::lint::render_arch_report_json(result, options));
-    if (rc != 0) return rc;
-  }
-
   if (!args.quiet) {
-    print_findings(result.findings, "");
-    print_findings(result.baselined, " (baselined)");
+    print_modules(result.modules);
+    print_findings(result.findings);
   }
   std::cout << "ccmx_lint arch: " << result.files_scanned << " file(s), "
             << result.include_edges << " include edge(s), "
             << result.modules.size() << " module(s), "
-            << result.findings.size() << " finding(s), "
-            << result.baselined.size() << " baselined, " << result.suppressed
+            << result.findings.size() << " finding(s), " << result.suppressed
             << " suppressed\n";
   return result.findings.empty() ? 0 : 1;
 }

@@ -205,6 +205,24 @@ BENCHMARK(BM_DetBareiss)->DenseRange(4, 16, 2);
 BENCHMARK(BM_DetCrt)->DenseRange(4, 16, 2);
 BENCHMARK(BM_DetSnf)->Arg(4)->Arg(8);
 
+/// la::is_singular on the exact-singularity shapes: BM_IsSingular/<input>/<n>
+/// with input 0 = dense nonsingular (32-bit entries), 1 = duplicated row
+/// (32-bit), 2 = build_m of a Lemma 3.5(a) completion with k = 8 and the
+/// odd half n/2 - 1, i.e. (n - 2) x (n - 2).  Rows 0 stop on the first
+/// prime, rows 1 on the kernel-vector certificate, rows 2 walk the prime
+/// loop.
+void BM_IsSingular(benchmark::State& state) {
+  const auto input = static_cast<DetInput>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  util::Xoshiro256 rng(n);
+  const la::IntMatrix m =
+      input == DetInput::kPaper
+          ? det_input({input, n / 2 - 1, 8, 1}, 0, rng)
+          : det_input({input, n, 32, 1}, 1, rng);  // trial 1: no dup column
+  for (auto _ : state) benchmark::DoNotOptimize(la::is_singular(m));
+}
+BENCHMARK(BM_IsSingular)->ArgsProduct({{0, 1, 2}, {16, 32, 48, 64}});
+
 /// n x n, 16-bit entries; `deficient` copies row 0 over the last row, so
 /// the multimodular rank has to walk its whole certificate.
 la::IntMatrix rank_input(std::size_t n, bool deficient) {

@@ -26,7 +26,7 @@ run() {
     --benchmark_min_time=0.05
 }
 
-run ablations          'BM_DetBareiss/4|BM_RowCensus|BM_BigInt(Small|Heap|Mixed)'
+run ablations          'BM_DetBareiss/4|BM_IsSingular|BM_RowCensus|BM_BigInt(Small|Heap|Mixed)'
 run corollary12        'BM_OracleDet'
 run corollary13        'BM_SolvabilityExact/4'
 run crossover          'BM_DeterministicBits/2'

@@ -1,7 +1,9 @@
 #include "bigint/modular.hpp"
 
 #include <array>
+#include <cmath>
 #include <mutex>
+#include <numeric>
 #include <utility>
 
 #include "bigint/bigint.hpp"
@@ -43,6 +45,36 @@ std::uint64_t invmod(std::uint64_t a, std::uint64_t m) {
   }
   CCMX_REQUIRE(r0 == 1, "invmod of a non-unit");
   return odd ? u0 : m - u0;
+}
+
+std::uint64_t reconstruction_bound(std::uint64_t m) {
+  CCMX_REQUIRE(m >= 2, "reconstruction needs modulus >= 2");
+  // Largest N with N^2 <= (m - 1) / 2, i.e. 2 N^2 < m; N < 2^32.
+  const std::uint64_t half = (m - 1) / 2;
+  auto n = static_cast<std::uint64_t>(std::sqrt(static_cast<double>(half)));
+  while (n * n > half) --n;
+  while ((n + 1) * (n + 1) <= half) ++n;
+  return n;
+}
+
+std::optional<Fraction> rational_reconstruct(std::uint64_t r,
+                                             std::uint64_t m) {
+  CCMX_REQUIRE(r < m, "residue must be reduced");
+  const std::uint64_t bound = reconstruction_bound(m);
+  // Invariant r_j = t_j r (mod m).  As in invmod the t_j alternate in sign,
+  // so only their magnitudes u_j <= m and the sign of t_1 are kept.
+  std::uint64_t r0 = m, r1 = r;
+  std::uint64_t u0 = 0, u1 = 1;
+  bool negative = false;  // sign of t_1
+  while (r1 > bound) {
+    const std::uint64_t q = r0 / r1;
+    r0 = std::exchange(r1, r0 - q * r1);
+    u0 = std::exchange(u1, u0 + q * u1);
+    negative = !negative;
+  }
+  if (u1 > bound || std::gcd(r1, u1) != 1) return std::nullopt;
+  const auto num = static_cast<std::int64_t>(r1);
+  return Fraction{negative ? -num : num, static_cast<std::int64_t>(u1)};
 }
 
 bool is_prime(std::uint64_t n) {

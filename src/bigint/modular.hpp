@@ -70,6 +70,23 @@ inline void submul_row_mod(std::uint64_t* dst, const std::uint64_t* src,
 /// Modular inverse of a mod m for gcd(a, m) == 1; throws otherwise.
 [[nodiscard]] std::uint64_t invmod(std::uint64_t a, std::uint64_t m);
 
+/// A reduced fraction num / den with den > 0.
+struct Fraction {
+  std::int64_t num = 0;
+  std::int64_t den = 1;
+};
+
+/// The largest N with 2 N^2 < m: fractions with |num|, den <= N are told
+/// apart by their residues mod m.  floor(sqrt(m / 2)) for odd m.
+[[nodiscard]] std::uint64_t reconstruction_bound(std::uint64_t m);
+
+/// The fraction a / b with |a|, b <= reconstruction_bound(m) and a = r b
+/// (mod m), if there is one — then it is unique.  Wang's rational
+/// reconstruction: the extended Euclid on (m, r), stopped at the first
+/// remainder within the bound.  Requires m >= 2 and r < m.
+[[nodiscard]] std::optional<Fraction> rational_reconstruct(std::uint64_t r,
+                                                           std::uint64_t m);
+
 /// Deterministic Miller-Rabin, valid for all n < 2^64.
 [[nodiscard]] bool is_prime(std::uint64_t n);
 

@@ -5,11 +5,18 @@
 //     kDetCrtCrossover rows (all intermediates integral and bounded by
 //     Hadamard's inequality, O(n^3) BigInt operations), det_crt above it
 //     (one word-sized elimination per 62-bit prime, then CRT).
-//   * is_singular(m) — only whether det(m) == 0, read as "certified rank
-//     < n" off the prime loop of rank_crt (det_crt.hpp): one residue of
-//     rank n proves nonsingularity, and lower ranks on primes whose product
-//     exceeds the Hadamard bound prove singularity.  This is Leighton's
-//     fingerprint bound read as a certificate, and never builds a BigInt.
+//   * is_singular(m) — only whether det(m) == 0, decided by certificates
+//     off the first ladder prime p0 (det_crt.hpp):
+//       - nonsingular: rank(m mod p0) == n, one elimination;
+//       - singular: a nonzero integer v with v^T m = 0 or m v = 0, read
+//         off the kernel of m mod p0 by rational reconstruction and
+//         checked exactly over Z (kernel_certificate) — a duplicated or
+//         small-coefficient dependent row or column costs one or two
+//         eliminations;
+//       - otherwise singular as "certified rank < n" off the prime loop of
+//         rank_crt: lower ranks on primes whose product exceeds the
+//         Hadamard bound prove singularity.  This is Leighton's fingerprint
+//         bound read as a certificate.
 // det_bareiss, det_crt (det_crt.hpp) and the O(n!) cofactor expansion stay
 // as named engines so tests and the A0a table can cross-check them.
 #pragma once
@@ -30,7 +37,7 @@ inline constexpr std::size_t kDetCrtCrossover = 7;
 [[nodiscard]] num::BigInt det(const IntMatrix& m);
 
 /// True iff det(m) == 0, decided exactly by the early-exit multimodular
-/// engine.  Requires square.
+/// engine with its kernel-vector certificate.  Requires square.
 [[nodiscard]] bool is_singular(const IntMatrix& m);
 
 /// det(m) by Bareiss fraction-free Gaussian elimination.  Requires square.

@@ -16,9 +16,17 @@ void require_modulus(std::uint64_t p) {
                "modulus must be in [2, 2^63)");
 }
 
+/// A pivot of the echelon form: its column and the inverse of its entry.
+struct Pivot {
+  std::size_t col;
+  std::uint64_t inv;
+};
+
 /// In-place elimination to row echelon form; returns (rank, det-accumulator).
-/// The determinant accumulator is only meaningful for square inputs.
-std::pair<std::size_t, std::uint64_t> echelon(ModMatrix& a, std::uint64_t p) {
+/// The determinant accumulator is only meaningful for square inputs.  When
+/// `pivots` is given, it receives the pivot of each nonzero row in order.
+std::pair<std::size_t, std::uint64_t> echelon(
+    ModMatrix& a, std::uint64_t p, std::vector<Pivot>* pivots = nullptr) {
   const std::size_t rows = a.rows();
   const std::size_t cols = a.cols();
   std::uint64_t det = 1;
@@ -37,6 +45,7 @@ std::pair<std::size_t, std::uint64_t> echelon(ModMatrix& a, std::uint64_t p) {
     }
     const std::uint64_t inv = invmod(a(row, col), p);
     const std::uint64_t inv_shoup = num::shoup_precompute(inv, p);
+    if (pivots != nullptr) pivots->push_back({col, inv});
     det = mulmod(det, a(row, col), p);
     for (std::size_t i = row + 1; i < rows; ++i) {
       if (a(i, col) == 0) continue;
@@ -60,6 +69,38 @@ std::uint64_t det_mod_p(ModMatrix m, std::uint64_t p) {
 std::size_t rank_mod_p(ModMatrix m, std::uint64_t p) {
   require_modulus(p);
   return echelon(m, p).first;
+}
+
+ModKernel kernel_mod_p(ModMatrix m, std::uint64_t p) {
+  require_modulus(p);
+  std::vector<Pivot> pivots;
+  ModKernel out{echelon(m, p, &pivots).first, {}};
+  if (out.rank == m.cols()) return out;
+  // Pivot columns rise strictly from pivots[r].col >= r, so the first free
+  // column is the first r where they part.
+  std::size_t free = 0;
+  while (free < out.rank && pivots[free].col == free) ++free;
+  std::vector<std::uint64_t>& x = out.vector;
+  x.assign(m.cols(), 0);
+  x[free] = 1;
+  // Each x_j is fixed once set, so its Shoup companion turns every later
+  // product m(r, j) x_j into two word multiplies.
+  std::vector<std::uint64_t> x_shoup(m.cols(), 0);
+  x_shoup[free] = num::shoup_precompute(1, p);
+  for (std::size_t r = out.rank; r-- > 0;) {
+    // Row r reads m(r, c) x_c + sum_{j > c} m(r, j) x_j = 0.
+    const std::size_t c = pivots[r].col;
+    std::uint64_t sum = 0;
+    for (std::size_t j = c + 1; j < m.cols(); ++j) {
+      if (x[j] == 0) continue;
+      sum += num::mulmod_shoup(x[j], x_shoup[j], m(r, j), p);
+      if (sum >= p) sum -= p;
+    }
+    if (sum == 0) continue;
+    x[c] = mulmod(p - sum, pivots[r].inv, p);
+    x_shoup[c] = num::shoup_precompute(x[c], p);
+  }
+  return out;
 }
 
 std::optional<std::vector<std::uint64_t>> solve_mod_p(

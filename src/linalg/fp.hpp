@@ -24,6 +24,17 @@ namespace ccmx::la {
 /// rank of m over Z_p.
 [[nodiscard]] std::size_t rank_mod_p(ModMatrix m, std::uint64_t p);
 
+/// rank of m over Z_p and, when it is below m.cols(), a nonzero x with
+/// m x = 0 over Z_p.  x comes from back-substitution on the echelon form:
+/// the first free column gets 1, the other free columns 0, so a kernel
+/// spanned by a small integer vector comes out as that vector over its
+/// entry in the first free column.
+struct ModKernel {
+  std::size_t rank = 0;
+  std::vector<std::uint64_t> vector;  // empty when rank == m.cols()
+};
+[[nodiscard]] ModKernel kernel_mod_p(ModMatrix m, std::uint64_t p);
+
 /// Solves m x = b over Z_p; nullopt when inconsistent.
 [[nodiscard]] std::optional<std::vector<std::uint64_t>> solve_mod_p(
     ModMatrix m, std::vector<std::uint64_t> b, std::uint64_t p);

@@ -5,13 +5,18 @@
 // singular (duplicated rows, low-rank 0/1 products, Lemma 3.5(a)
 // completions) and adversarial nonsingular inputs whose determinant is a
 // product of ladder primes, so the early exit must look past zero
-// residues.  The Shoup mod-p kernels are checked against a naive
-// u128 % p elimination, and the shared prime ladder against concurrent use.
+// residues.  The kernel-vector certificate must fire on small integer
+// dependencies, refuse dependencies that hold mod the first ladder prime
+// only, and leave tall kernels to the prime loop; rational reconstruction
+// is checked exhaustively on a small prime.  The Shoup mod-p kernels are
+// checked against a naive u128 % p elimination, and the shared prime
+// ladder against concurrent use.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -213,6 +218,260 @@ TEST(ExactSingularity, ZeroRowAndEmptyMatrix) {
                ccmx::util::contract_error);
 }
 
+// ------------------------------------------------- kernel-vector certificate
+
+/// Row or column dependencies with small integer coefficients over dense
+/// 20-bit entries: the kernel of m mod p0 is spanned by a small vector.
+enum class Dependency { kDuplicateRow, kDuplicateColumn, kTwoRows, kScaled };
+
+IntMatrix dependent(std::size_t n, Dependency kind, Xoshiro256& rng) {
+  IntMatrix m = dense(n, 20, false, rng);
+  const std::size_t a = rng.below(n);
+  const std::size_t b = (a + 1 + rng.below(n - 1)) % n;
+  std::size_t c = rng.below(n);
+  while (c == a || c == b) c = rng.below(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    switch (kind) {
+      case Dependency::kDuplicateRow:
+        m(b, j) = m(a, j);
+        break;
+      case Dependency::kDuplicateColumn:
+        m(j, b) = m(j, a);
+        break;
+      case Dependency::kTwoRows:  // r_c = 2 r_a - 3 r_b
+        m(c, j) = m(a, j) * 2 - m(b, j) * 3;
+        break;
+      case Dependency::kScaled:  // 3 r_a = 2 r_b
+        m(b, j) = m(a, j) * 3;
+        m(a, j) *= 2;
+        break;
+    }
+  }
+  return m;
+}
+
+/// v^T m (left) or m v, exactly.  Requires v.size() == n.
+std::vector<BigInt> apply(const IntMatrix& m, const std::vector<std::int64_t>& v,
+                          bool left) {
+  std::vector<BigInt> out(m.rows(), BigInt(0));
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      out[i] += (left ? m(j, i) : m(i, j)) * BigInt(v[j]);
+    }
+  }
+  return out;
+}
+
+class KernelCertificate : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(KernelCertificate, FiresOnSmallDependencies) {
+  const std::size_t n = GetParam();
+  Xoshiro256 rng(0xCE + n);
+  for (const Dependency kind :
+       {Dependency::kDuplicateRow, Dependency::kDuplicateColumn,
+        Dependency::kTwoRows, Dependency::kScaled}) {
+    const IntMatrix m = dependent(n, kind, rng);
+    const auto cert = ccmx::la::kernel_certificate(m);
+    const int k = static_cast<int>(kind);
+    EXPECT_EQ(cert.rank_mod_p, n - 1) << "kind=" << k << " n=" << n;
+    ASSERT_FALSE(cert.vector.empty()) << "kind=" << k << " n=" << n;
+    EXPECT_EQ(cert.left, kind != Dependency::kDuplicateColumn) << k;
+    EXPECT_TRUE(std::any_of(cert.vector.begin(), cert.vector.end(),
+                            [](std::int64_t c) { return c != 0; }));
+    for (const BigInt& entry : apply(m, cert.vector, cert.left)) {
+      EXPECT_TRUE(entry.is_zero()) << "kind=" << k << " n=" << n;
+    }
+    EXPECT_TRUE(ccmx::la::is_singular(m)) << "kind=" << k << " n=" << n;
+    EXPECT_TRUE(ccmx::la::is_singular(m.transpose())) << k << " n=" << n;
+    EXPECT_TRUE(ccmx::la::det_crt(m).is_zero()) << k << " n=" << n;
+    if (n <= 12) {
+      EXPECT_TRUE(ccmx::la::det_bareiss(m).is_zero()) << k;
+    }
+  }
+}
+
+/// U diag(p0, 1, ..., 1) (I + u e_0^T) P with U a dense unimodular product
+/// of unit triangular factors and P a signed permutation: det = +-p0, so m
+/// is nonsingular over Z but singular mod p0, and its kernel mod p0 is
+/// spanned by P^T (e_0 - u) — a small vector, not a unit one, that lifts
+/// to Z and must then fail the exact check.
+IntMatrix fake_singular(std::size_t n, Xoshiro256& rng) {
+  IntMatrix lower = IntMatrix::identity(n, BigInt(1));
+  IntMatrix upper = IntMatrix::identity(n, BigInt(1));
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < r; ++c) {
+      lower(r, c) = random_signed(2, rng);
+      upper(c, r) = random_signed(2, rng);
+    }
+  }
+  IntMatrix middle = IntMatrix::identity(n, BigInt(1));
+  middle(0, 0) = BigInt(static_cast<std::int64_t>(ccmx::num::ladder_prime(0)));
+  for (std::size_t i = 1; i < n; ++i) {
+    const BigInt u = random_signed(3, rng);
+    middle(i, 0) = i == 1 && u.is_zero() ? BigInt(5) : u;  // u_1 != 0
+  }
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  for (std::size_t i = n; i > 1; --i) std::swap(perm[i - 1], perm[rng.below(i)]);
+  IntMatrix signed_perm(n, n, BigInt(0));
+  for (std::size_t i = 0; i < n; ++i) {
+    signed_perm(i, perm[i]) = BigInt(rng.coin() ? 1 : -1);
+  }
+  return lower * upper * middle * signed_perm;
+}
+
+TEST_P(KernelCertificate, RefusesDependenciesThatHoldModP0Only) {
+  const std::size_t n = GetParam();
+  Xoshiro256 rng(0xFA + n);
+  const std::uint64_t p0 = ccmx::num::ladder_prime(0);
+  for (int t = 0; t < 2; ++t) {
+    const IntMatrix m = fake_singular(n, rng);
+    // The candidate mod p0 reconstructs to a small non-unit vector, so it
+    // reaches the exact check (here, m's own kernel; its transpose's is
+    // tried first when certifying m^T).
+    const auto kernel = ccmx::la::kernel_mod_p(ccmx::la::reduce_mod(m, p0), p0);
+    ASSERT_EQ(kernel.rank, n - 1);
+    std::size_t nonzero = 0;
+    for (const std::uint64_t v : kernel.vector) {
+      ASSERT_TRUE(ccmx::num::rational_reconstruct(v, p0).has_value());
+      nonzero += v != 0;
+    }
+    EXPECT_GE(nonzero, 2u) << "n=" << n;
+    for (const IntMatrix& input : {m, m.transpose()}) {
+      const auto cert = ccmx::la::kernel_certificate(input);
+      EXPECT_EQ(cert.rank_mod_p, n - 1);
+      EXPECT_TRUE(cert.vector.empty()) << "n=" << n;
+      EXPECT_FALSE(ccmx::la::is_singular(input)) << "n=" << n;
+    }
+    const BigInt det = ccmx::la::det_crt(m);
+    EXPECT_EQ(det.abs(), BigInt(static_cast<std::int64_t>(p0))) << "n=" << n;
+    if (n <= 12) {
+      EXPECT_EQ(ccmx::la::det_bareiss(m), det) << "n=" << n;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, KernelCertificate,
+                         ::testing::Values(std::size_t{5}, std::size_t{12},
+                                           std::size_t{32}, std::size_t{64}));
+
+TEST(KernelCertificateLoop, TallKernelsFallThroughToThePrimeLoop) {
+  // Lemma 3.5(a) completions: the kernel is made of powers of q.  At
+  // (31, 8) they are far past one prime's reconstruction bound, so the
+  // certificate stays empty and the Hadamard-count loop decides; smaller
+  // completions may be certified, and then the vector must hold exactly.
+  Xoshiro256 rng(351);
+  for (const auto& [half, k] : {std::pair<std::size_t, unsigned>{7, 2},
+                                {15, 4}, {31, 8}}) {
+    const ccmx::core::ConstructionParams p(half, k);
+    const auto seed = ccmx::core::FreeParts::random(p, rng);
+    const auto parts = ccmx::core::lemma35_complete(p, seed.c, seed.e);
+    ASSERT_TRUE(parts.has_value());
+    const IntMatrix m = ccmx::core::build_m(p, *parts);
+    for (const IntMatrix& input : {m, m.transpose()}) {
+      const auto cert = ccmx::la::kernel_certificate(input);
+      EXPECT_LT(cert.rank_mod_p, input.rows());
+      if (half == 31) {
+        EXPECT_TRUE(cert.vector.empty());
+      }
+      if (!cert.vector.empty()) {
+        for (const BigInt& entry : apply(input, cert.vector, cert.left)) {
+          EXPECT_TRUE(entry.is_zero()) << "2n=" << input.rows();
+        }
+      }
+      EXPECT_TRUE(ccmx::la::is_singular(input)) << "2n=" << input.rows();
+    }
+  }
+}
+
+TEST(KernelCertificateLoop, IsSingularAgreesWithTheTranspose) {
+  Xoshiro256 rng(0x7A);
+  for (const std::size_t n : {std::size_t{5}, std::size_t{12}, std::size_t{32}}) {
+    std::vector<IntMatrix> family{dense(n, 20, true, rng),
+                                  duplicate_row(dense(n, 8, false, rng), rng),
+                                  low_rank_01(n, n / 2, rng),
+                                  ladder_diagonal(n, 2, true, rng),
+                                  fake_singular(n, rng)};
+    for (const Dependency kind :
+         {Dependency::kDuplicateRow, Dependency::kDuplicateColumn,
+          Dependency::kTwoRows, Dependency::kScaled}) {
+      family.push_back(dependent(n, kind, rng));
+    }
+    for (std::size_t f = 0; f < family.size(); ++f) {
+      EXPECT_EQ(ccmx::la::is_singular(family[f]),
+                ccmx::la::is_singular(family[f].transpose()))
+          << "n=" << n << " family " << f;
+    }
+  }
+}
+
+TEST(RationalReconstruction, ExhaustiveOnASmallPrime) {
+  // Every residue mod 1009 against a brute-force search of the fractions
+  // inside the bound: it must come back exactly when one exists.
+  const std::uint64_t m = 1009;
+  const auto bound = static_cast<std::int64_t>(
+      ccmx::num::reconstruction_bound(m));
+  EXPECT_EQ(bound, 22);
+  std::vector<std::vector<ccmx::num::Fraction>> inside(m);
+  for (std::int64_t b = 1; b <= bound; ++b) {
+    const std::uint64_t inv = ccmx::num::invmod(static_cast<std::uint64_t>(b), m);
+    for (std::int64_t a = -bound; a <= bound; ++a) {
+      if (std::gcd(a, b) != 1) continue;
+      const std::uint64_t a_mod = a < 0 ? m - static_cast<std::uint64_t>(-a)
+                                        : static_cast<std::uint64_t>(a);
+      inside[ccmx::num::mulmod(a_mod, inv, m)].push_back({a, b});
+    }
+  }
+  std::size_t found = 0;
+  for (std::uint64_t r = 0; r < m; ++r) {
+    ASSERT_LE(inside[r].size(), 1u) << "bound too large for uniqueness";
+    const auto f = ccmx::num::rational_reconstruct(r, m);
+    ASSERT_EQ(f.has_value(), !inside[r].empty()) << "r=" << r;
+    if (!f) continue;
+    ++found;
+    EXPECT_EQ(f->num, inside[r][0].num) << "r=" << r;
+    EXPECT_EQ(f->den, inside[r][0].den) << "r=" << r;
+  }
+  EXPECT_GT(found, m / 2);
+}
+
+TEST(RationalReconstruction, RoundTripsAtTheLadderPrime) {
+  const std::uint64_t p = ccmx::num::ladder_prime(0);
+  const std::uint64_t bound = ccmx::num::reconstruction_bound(p);
+  EXPECT_LT(2 * static_cast<u128>(bound) * bound, p);
+  EXPECT_GE(2 * static_cast<u128>(bound + 1) * (bound + 1), p);
+  const auto residue = [p](std::int64_t a, std::int64_t b) {
+    const std::uint64_t mag = ccmx::num::mulmod(
+        static_cast<std::uint64_t>(a < 0 ? -a : a),
+        ccmx::num::invmod(static_cast<std::uint64_t>(b), p), p);
+    return a < 0 && mag != 0 ? p - mag : mag;
+  };
+  const auto n = static_cast<std::int64_t>(bound);
+  Xoshiro256 rng(61);
+  std::vector<std::pair<std::int64_t, std::int64_t>> inside{
+      {0, 1}, {1, 1}, {-1, 1}, {n, 1}, {-n, 1}, {1, n}, {-1, n},
+      {n, n - 1}, {-(n - 1), n}};
+  for (int t = 0; t < 2000; ++t) {
+    const auto a = static_cast<std::int64_t>(rng.below(bound + 1));
+    const auto b = static_cast<std::int64_t>(1 + rng.below(bound));
+    if (std::gcd(a, b) == 1) inside.emplace_back(rng.coin() ? -a : a, b);
+  }
+  for (const auto& [a, b] : inside) {
+    const auto f = ccmx::num::rational_reconstruct(residue(a, b), p);
+    ASSERT_TRUE(f.has_value()) << a << "/" << b;
+    EXPECT_EQ(f->num, a);
+    EXPECT_EQ(f->den, b);
+  }
+  // Just past the bound: no fraction inside it shares these residues.
+  for (const auto& [a, b] : {std::pair<std::int64_t, std::int64_t>{n + 1, 1},
+                             {-(n + 1), 1}, {1, n + 1}, {-1, n + 1}}) {
+    EXPECT_FALSE(ccmx::num::rational_reconstruct(residue(a, b), p))
+        << a << "/" << b;
+  }
+  EXPECT_THROW((void)ccmx::num::rational_reconstruct(p, p),
+               ccmx::util::contract_error);
+}
+
 // ------------------------------------------- Shoup kernels vs naive u128 % p
 
 std::uint64_t naive_mulmod(std::uint64_t a, std::uint64_t b, std::uint64_t p) {
@@ -306,6 +565,17 @@ TEST(ShoupKernel, EliminationMatchesNaiveReference) {
       const std::size_t cols = 1 + rng.below(14);
       const ModMatrix wide = random_mod(n, cols, p, t + 1, rng);
       ASSERT_EQ(ccmx::la::rank_mod_p(wide, p), naive_echelon(wide, p).first);
+      // A kernel vector: nonzero, killed by m, present iff rank < cols.
+      for (const ModMatrix* m : {&square, &wide}) {
+        const auto kernel = ccmx::la::kernel_mod_p(*m, p);
+        ASSERT_EQ(kernel.rank, naive_echelon(*m, p).first);
+        ASSERT_EQ(kernel.vector.empty(), kernel.rank == m->cols());
+        if (kernel.vector.empty()) continue;
+        ASSERT_NE(std::count(kernel.vector.begin(), kernel.vector.end(), 0u),
+                  static_cast<std::ptrdiff_t>(m->cols()));
+        ASSERT_EQ(ccmx::la::multiply_mod_p(*m, kernel.vector, p),
+                  std::vector<std::uint64_t>(m->rows(), 0));
+      }
 
       std::vector<std::uint64_t> b(n);
       for (auto& v : b) v = rng.below(p);
@@ -372,7 +642,8 @@ TEST(PrimeLadder, ConcurrentReadersSeeOneLadder) {
 
 TEST(PrimeLadder, ConcurrentSingularityChecksAgree) {
   // is_singular from many pool threads at once (its own sharding then runs
-  // inline), on large singular inputs that walk the whole prime ladder.
+  // inline), on large duplicated-row inputs (kernel-vector certificates)
+  // and nonsingular ones.
   Xoshiro256 rng(77);
   std::vector<IntMatrix> inputs;
   std::vector<bool> truth;

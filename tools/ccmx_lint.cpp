@@ -8,11 +8,13 @@
 // (lint/arch.hpp) — include graph vs the declared layering plus the
 // symbol cross-reference — and prints the module table (layer, files,
 // fan-out, fan-in, deps) above its findings.  Exit status for both:
-// 0 = clean, 1 = findings, 2 = usage or I/O error.  A
+// 0 = clean, 1 = findings, 2 = usage or I/O error, or no file to scan
+// under the root (a gate that looked at nothing has passed nothing).  A
 // `// ccmx-lint: allow(<rule>)` comment is the only way to silence a
 // finding, so CI runs both modes from the repo root with no flags.
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -103,6 +105,14 @@ int parse_args(int argc, char** argv, int first, CommonArgs& args) {
   return 0;
 }
 
+/// The error for a scan that found no file under the root: exit status 2.
+int refuse_empty_scan(const CommonArgs& args) {
+  std::cerr << "ccmx_lint: error: no file to scan under root '"
+            << std::filesystem::absolute(args.root).lexically_normal().string()
+            << "'; run from the repo root or pass --root\n";
+  return 2;
+}
+
 int run_lexical_mode(const CommonArgs& args) {
   if (args.list_rules) {
     print_rules(ccmx::lint::rules());
@@ -112,6 +122,7 @@ int run_lexical_mode(const CommonArgs& args) {
   options.root = args.root;
   if (!args.subdirs.empty()) options.subdirs = args.subdirs;
   const ccmx::lint::RunResult result = ccmx::lint::run_lint(options);
+  if (result.files_scanned == 0) return refuse_empty_scan(args);
   if (!args.quiet) print_findings(result.findings);
   std::cout << "ccmx_lint: " << result.files_scanned << " file(s), "
             << result.findings.size() << " finding(s), " << result.suppressed
@@ -128,6 +139,7 @@ int run_arch_mode(const CommonArgs& args) {
   options.root = args.root;
   if (!args.subdirs.empty()) options.subdirs = args.subdirs;
   const ccmx::lint::ArchResult result = ccmx::lint::run_arch(options);
+  if (result.files_scanned == 0) return refuse_empty_scan(args);
   if (!args.quiet) {
     print_modules(result.modules);
     print_findings(result.findings);

@@ -1,5 +1,7 @@
 #include "linalg/fp.hpp"
 
+#include <algorithm>
+
 #include "bigint/modular.hpp"
 #include "util/require.hpp"
 
@@ -74,6 +76,7 @@ std::size_t rank_mod_p(ModMatrix m, std::uint64_t p) {
 ModKernel kernel_mod_p(ModMatrix m, std::uint64_t p) {
   require_modulus(p);
   std::vector<Pivot> pivots;
+  pivots.reserve(std::min(m.rows(), m.cols()));
   ModKernel out{echelon(m, p, &pivots).first, {}};
   if (out.rank == m.cols()) return out;
   // Pivot columns rise strictly from pivots[r].col >= r, so the first free
